@@ -24,6 +24,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataflows"
 	"repro/internal/experiments"
+	"repro/internal/runtime"
 	"repro/internal/topology"
 )
 
@@ -257,7 +258,7 @@ func benchGridScaled(b *testing.B, factor int) {
 		}
 		cfg := DefaultConfig(ModeCCR)
 		cfg.SourceRate = float64(factor * 8)
-		eng, err := NewEngine(Params{
+		eng, err := runtime.New(runtime.Params{
 			Topology:        spec.Topology,
 			Factory:         CountFactory,
 			Clock:           clock,

@@ -120,7 +120,7 @@ func runContext(ctx context.Context, args []string) error {
 
 	fmt.Printf("Running %s / %s / %s (scale %.3f)...\n", *dag, strat.Name(), dir, *scale)
 	start := time.Now() //vetstorm:allow wallclock reporting real elapsed wall time to the operator
-	r, err := experiments.RunContext(ctx, experiments.Scenario{
+	r, err := experiments.Run(ctx, experiments.Scenario{
 		Spec:      spec,
 		Strategy:  strat,
 		Direction: dir,
@@ -273,7 +273,7 @@ func runAutoscale(ctx context.Context, spec dataflows.Spec, strat core.Strategy,
 	fmt.Printf("Autoscaling %s with policy %s, enacting via %s (scale %.3f)...\n",
 		spec.Topology.Name(), pol.Name(), strat.Name(), scale)
 	start := time.Now() //vetstorm:allow wallclock reporting real elapsed wall time to the operator
-	r, err := experiments.RunAutoscaleContext(ctx, experiments.AutoscaleScenario{
+	r, err := experiments.RunAutoscale(ctx, experiments.AutoscaleScenario{
 		Spec:      spec,
 		Strategy:  strat,
 		Policy:    pol,

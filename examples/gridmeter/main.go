@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"time"
@@ -43,7 +44,7 @@ func run(scale float64) error {
 
 	for _, strat := range []repro.Strategy{repro.CCR{}, repro.DSM{}} {
 		fmt.Printf("--- %s ---\n", strat.Name())
-		res, err := repro.RunScenario(repro.Scenario{
+		res, err := repro.RunScenario(context.Background(), repro.Scenario{
 			Spec:      spec,
 			Strategy:  strat,
 			Direction: repro.ScaleIn,

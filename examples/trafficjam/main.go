@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"text/tabwriter"
@@ -31,7 +32,7 @@ func run(scale float64) error {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "strategy\trestore\tcatchup\trecovery\tstabilize\treplayed\tlost")
 	for _, strat := range repro.AllStrategies() {
-		res, err := repro.RunScenario(repro.Scenario{
+		res, err := repro.RunScenario(context.Background(), repro.Scenario{
 			Spec:      spec,
 			Strategy:  strat,
 			Direction: repro.ScaleOut,

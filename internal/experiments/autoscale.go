@@ -93,16 +93,11 @@ type AutoscaleResult struct {
 
 // RunAutoscale executes one autoscale scenario: deploy the dataflow
 // consolidated (the off-peak shape of Table 1), start the loop, play the
-// ramp, and account reliability and billing at the horizon.
-func RunAutoscale(s AutoscaleScenario) (*AutoscaleResult, error) {
-	return RunAutoscaleContext(context.Background(), s)
-}
-
-// RunAutoscaleContext is RunAutoscale under a context: the dataflow is
-// submitted through the Job control plane and every loop enactment goes
-// through the job's serialized control. Canceling ctx ends the loop at
-// its next tick and the run reports what happened up to that point.
-func RunAutoscaleContext(ctx context.Context, s AutoscaleScenario) (*AutoscaleResult, error) {
+// ramp, and account reliability and billing at the horizon. The dataflow
+// is submitted through the Job control plane and every loop enactment goes
+// through the job's serialized control. Canceling ctx ends the loop at its
+// next tick and the run reports what happened up to that point.
+func RunAutoscale(ctx context.Context, s AutoscaleScenario) (*AutoscaleResult, error) {
 	if s.TimeScale <= 0 {
 		s.TimeScale = 0.02
 	}
@@ -242,7 +237,7 @@ func AutoscaleComparison(scale float64, seed int64) (string, error) {
 	for _, spec := range specs {
 		for _, pol := range autoscale.All() {
 			for _, strat := range strategies {
-				r, err := RunAutoscale(AutoscaleScenario{
+				r, err := RunAutoscale(context.Background(), AutoscaleScenario{
 					Spec:      spec,
 					Strategy:  strat,
 					Policy:    pol,

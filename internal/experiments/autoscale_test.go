@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestRunAutoscaleDiamondCCR(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two live migrations under 250x clock compression; wall-time sensitive (fails under -race slowdown)")
 	}
-	r, err := RunAutoscale(AutoscaleScenario{
+	r, err := RunAutoscale(context.Background(), AutoscaleScenario{
 		Spec:      dataflows.Diamond(),
 		Strategy:  core.CCR{},
 		Policy:    autoscale.DefaultUtilizationBand(),
@@ -54,7 +55,7 @@ func TestRunAutoscaleQueuePolicyDCR(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two live migrations under 250x clock compression; wall-time sensitive (fails under -race slowdown)")
 	}
-	r, err := RunAutoscale(AutoscaleScenario{
+	r, err := RunAutoscale(context.Background(), AutoscaleScenario{
 		Spec:      dataflows.Diamond(),
 		Strategy:  core.DCR{},
 		Policy:    autoscale.DefaultQueueBackpressure(),

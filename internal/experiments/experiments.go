@@ -129,15 +129,12 @@ type Result struct {
 	Canceled bool
 }
 
-// Run executes one scenario.
-func Run(s Scenario) (*Result, error) { return RunContext(context.Background(), s) }
-
-// RunContext executes one scenario under a context: deploy the dataflow
-// through the Job control plane, warm it to steady state, enact the
-// migration live, and run until the output stabilizes. Canceling ctx at
-// any point drains the dataflow gracefully (an in-flight migration first
-// unwinds) and returns the partial Result with Canceled set.
-func RunContext(ctx context.Context, s Scenario) (*Result, error) {
+// Run executes one scenario under a context: deploy the dataflow through
+// the Job control plane, warm it to steady state, enact the migration
+// live, and run until the output stabilizes. Canceling ctx at any point
+// drains the dataflow gracefully (an in-flight migration first unwinds)
+// and returns the partial Result with Canceled set.
+func Run(ctx context.Context, s Scenario) (*Result, error) {
 	if s.Run.TimeScale <= 0 {
 		s.Run = DefaultRunConfig()
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -23,7 +24,7 @@ func fastRun() RunConfig {
 }
 
 func TestRunDCRScaleInLinear(t *testing.T) {
-	r, err := Run(Scenario{
+	r, err := Run(context.Background(), Scenario{
 		Spec:      dataflows.Linear(),
 		Strategy:  core.DCR{},
 		Direction: ScaleIn,
@@ -66,7 +67,7 @@ func TestRunDCRScaleInLinear(t *testing.T) {
 }
 
 func TestRunCCRScaleOutDiamond(t *testing.T) {
-	r, err := Run(Scenario{
+	r, err := Run(context.Background(), Scenario{
 		Spec:      dataflows.Diamond(),
 		Strategy:  core.CCR{},
 		Direction: ScaleOut,
@@ -94,7 +95,7 @@ func TestRunCCRScaleOutDiamond(t *testing.T) {
 func TestRunDSMReplaysAndRecovers(t *testing.T) {
 	run := fastRun()
 	run.PostHorizon = 420 * time.Second
-	r, err := Run(Scenario{
+	r, err := Run(context.Background(), Scenario{
 		Spec:      dataflows.Linear(),
 		Strategy:  core.DSM{},
 		Direction: ScaleIn,
@@ -122,7 +123,7 @@ func TestNoMigrationRun(t *testing.T) {
 	run := fastRun()
 	run.NoMigration = true
 	run.PostHorizon = 60 * time.Second
-	r, err := Run(Scenario{Spec: dataflows.Linear(), Strategy: core.DCR{}, Direction: ScaleIn, Run: run})
+	r, err := Run(context.Background(), Scenario{Spec: dataflows.Linear(), Strategy: core.DCR{}, Direction: ScaleIn, Run: run})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -137,7 +138,7 @@ func TestNoMigrationRun(t *testing.T) {
 func TestStopAfterMigrate(t *testing.T) {
 	run := fastRun()
 	run.StopAfterMigrate = true
-	r, err := Run(Scenario{Spec: dataflows.Star(), Strategy: core.CCR{}, Direction: ScaleIn, Run: run})
+	r, err := Run(context.Background(), Scenario{Spec: dataflows.Star(), Strategy: core.CCR{}, Direction: ScaleIn, Run: run})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

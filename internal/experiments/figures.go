@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -42,7 +43,7 @@ func (s *Suite) Get(spec dataflows.Spec, strat core.Strategy, dir Direction) (*R
 	run := s.Run
 	// Independent but reproducible randomness per cell.
 	run.Seed = s.Run.Seed + int64(len(key))*1000 + int64(key[0])
-	r, err := Run(Scenario{Spec: spec, Strategy: strat, Direction: dir, Run: run})
+	r, err := Run(context.Background(), Scenario{Spec: spec, Strategy: strat, Direction: dir, Run: run})
 	if err != nil {
 		return nil, err
 	}
@@ -239,11 +240,11 @@ func (s *Suite) M1DrainTimes() (string, error) {
 	run := s.Run
 	run.StopAfterMigrate = true
 	l50 := dataflows.LinearN(50)
-	dcr50, err := Run(Scenario{Spec: l50, Strategy: core.DCR{}, Direction: ScaleIn, Run: run})
+	dcr50, err := Run(context.Background(), Scenario{Spec: l50, Strategy: core.DCR{}, Direction: ScaleIn, Run: run})
 	if err != nil {
 		return "", err
 	}
-	ccr50, err := Run(Scenario{Spec: l50, Strategy: core.CCR{}, Direction: ScaleIn, Run: run})
+	ccr50, err := Run(context.Background(), Scenario{Spec: l50, Strategy: core.CCR{}, Direction: ScaleIn, Run: run})
 	if err != nil {
 		return "", err
 	}
@@ -316,7 +317,7 @@ func (s *Suite) A1AckingOverhead() (string, error) {
 	}
 	var outs []outcome
 	for _, strat := range []core.Strategy{core.DSM{}, core.DCR{}} {
-		r, err := Run(Scenario{Spec: spec, Strategy: strat, Direction: ScaleIn, Run: run})
+		r, err := Run(context.Background(), Scenario{Spec: spec, Strategy: strat, Direction: ScaleIn, Run: run})
 		if err != nil {
 			return "", err
 		}
@@ -344,7 +345,7 @@ func (s *Suite) A2InitDelivery() (string, error) {
 	for _, strat := range []core.Strategy{core.CCR{}, core.CCRSeqInit{}} {
 		run := s.Run
 		run.Seed = s.Run.Seed + 99
-		r, err := Run(Scenario{Spec: spec, Strategy: strat, Direction: ScaleIn, Run: run})
+		r, err := Run(context.Background(), Scenario{Spec: spec, Strategy: strat, Direction: ScaleIn, Run: run})
 		if err != nil {
 			return "", err
 		}

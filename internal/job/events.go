@@ -170,8 +170,14 @@ func (ev Event) String() string {
 	return s
 }
 
+// eventBuffer is the per-subscriber buffer of the Events stream: room for
+// several operations' worth of transitions, so a subscriber that reads
+// between operations misses nothing. Events beyond a full buffer are
+// dropped, not blocked on.
+const eventBuffer = 64
+
 // Events returns a fresh subscription to the job's event stream. Each
-// call registers an independent buffered channel (see WithEventBuffer)
+// call registers an independent buffered channel (eventBuffer events)
 // that receives every event published from now on; the channel closes
 // when the job stops. A slow consumer does not block the job — events
 // that would block are dropped and counted in Status().EventsDropped.
@@ -179,7 +185,7 @@ func (ev Event) String() string {
 func (j *Job) Events() <-chan Event {
 	j.subMu.Lock()
 	defer j.subMu.Unlock()
-	ch := make(chan Event, j.eventBuffer)
+	ch := make(chan Event, eventBuffer)
 	if j.subsClosed {
 		close(ch)
 		return ch

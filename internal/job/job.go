@@ -132,7 +132,6 @@ type Job struct {
 	strategy core.Strategy
 
 	queueControl bool
-	eventBuffer  int
 	sup          *supervisor.Supervisor // nil without WithSupervision
 
 	ctrl       chan struct{} // capacity-1 control token
@@ -192,13 +191,6 @@ func Submit(ctx context.Context, spec dataflows.Spec, opts ...Option) (*Job, err
 	}
 	if o.sourceRate > 0 {
 		cfg.SourceRate = o.sourceRate
-	}
-	if o.fabricShards > 0 {
-		cfg.FabricShards = o.fabricShards
-	}
-	if o.batchSet {
-		cfg.BatchMaxSize = o.batchSize
-		cfg.BatchMaxDelay = o.batchDelay
 	}
 	if o.overrides != nil {
 		o.overrides(&cfg)
@@ -267,7 +259,6 @@ func Submit(ctx context.Context, spec dataflows.Spec, opts ...Option) (*Job, err
 		sched:        o.scheduler,
 		strategy:     strategy,
 		queueControl: o.queueControl,
-		eventBuffer:  o.eventBuffer,
 		ctrl:         make(chan struct{}, 1),
 		done:         make(chan struct{}),
 		submitted:    clock.Now(),

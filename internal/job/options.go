@@ -1,8 +1,6 @@
 package job
 
 import (
-	"time"
-
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/runtime"
@@ -26,10 +24,6 @@ type options struct {
 	factory      workload.Factory
 	seed         int64
 	seedSet      bool
-	fabricShards int
-	batchSize    int
-	batchDelay   time.Duration
-	batchSet     bool
 	sourceRate   float64
 	overrides    func(*runtime.Config)
 	scheduler    scheduler.Scheduler
@@ -37,17 +31,15 @@ type options struct {
 	fleetVMs     int
 	fleetSet     bool
 	queueControl bool
-	eventBuffer  int
 	supervise    bool
 	supPolicy    supervisor.Policy
 }
 
 func defaultOptions() options {
 	return options{
-		timeScale:   0.02,
-		factory:     workload.CountFactory,
-		scheduler:   scheduler.RoundRobin{},
-		eventBuffer: 64,
+		timeScale: 0.02,
+		factory:   workload.CountFactory,
+		scheduler: scheduler.RoundRobin{},
 	}
 }
 
@@ -78,26 +70,13 @@ func WithSeed(seed int64) Option {
 	return func(o *options) { o.seed, o.seedSet = seed, true }
 }
 
-// WithFabricShards sets the delivery scheduler's shard count (zero means
-// GOMAXPROCS).
-func WithFabricShards(n int) Option { return func(o *options) { o.fabricShards = n } }
-
-// WithBatching sets the delivery fabric's per-link micro-batch limits:
-// a link batch flushes at size events or delay of paper time after its
-// first event, whichever comes first. WithBatching(1, 0) disables
-// batching entirely — every send is scheduled individually, the
-// pre-batching semantics. The default is the engine default (64 events,
-// 1 ms).
-func WithBatching(size int, delay time.Duration) Option {
-	return func(o *options) { o.batchSize, o.batchDelay, o.batchSet = size, delay, true }
-}
-
 // WithSourceRate overrides the initial per-source emission rate in ev/s.
 func WithSourceRate(r float64) Option { return func(o *options) { o.sourceRate = r } }
 
 // WithConfigOverrides adjusts the engine configuration after defaults and
 // the other options have been applied — the escape hatch for protocol
-// constants that have no dedicated option.
+// constants that have no dedicated option (fabric shards and batch
+// limits among them).
 func WithConfigOverrides(f func(*runtime.Config)) Option {
 	return func(o *options) { o.overrides = f }
 }
@@ -128,14 +107,4 @@ func WithQueuedControl() Option { return func(o *options) { o.queueControl = tru
 // supervisor package defaults.
 func WithSupervision(p supervisor.Policy) Option {
 	return func(o *options) { o.supervise, o.supPolicy = true, p }
-}
-
-// WithEventBuffer sets the per-subscriber buffer of the Events stream
-// (default 64). Events beyond a full buffer are dropped, not blocked on.
-func WithEventBuffer(n int) Option {
-	return func(o *options) {
-		if n > 0 {
-			o.eventBuffer = n
-		}
-	}
 }

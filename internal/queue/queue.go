@@ -9,7 +9,10 @@
 //   - CloseAndDrain: an executor kill must reject further pushes and
 //     capture the queued remainder in one atomic step, so no concurrent
 //     push can slip between the two and be lost uncounted.
-//   - Snapshot and Len inspection for drain diagnostics and metrics.
+//   - Len inspection for drain diagnostics and metrics.
+//
+// The batch is the only unit: PushBatch and PopBatch are the one push and
+// the one pop implementation, and Push and Pop are batches of one.
 package queue
 
 import (
@@ -44,22 +47,10 @@ func New() *Queue {
 	return q
 }
 
-// Push appends e to the tail. It reports false if the queue is closed (the
-// event is dropped), which models delivery to a killed executor.
-func (q *Queue) Push(e *tuple.Event) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return false
-	}
-	if q.n == len(q.buf) {
-		q.resize(max(minCap, 2*len(q.buf)))
-	}
-	q.buf[(q.head+q.n)%len(q.buf)] = e
-	q.n++
-	q.nonEmptyOrClosed.Signal()
-	return true
-}
+// Push appends e to the tail as a batch of one. It reports false if the
+// queue is closed (the event is dropped), which models delivery to a
+// killed executor.
+func (q *Queue) Push(e *tuple.Event) bool { return q.PushBatch([]*tuple.Event{e}) }
 
 // PushBatch appends evs to the tail as one atomic ring append: one lock
 // acquisition, at most one ring grow (the ring is pre-sized to hold the
@@ -128,38 +119,16 @@ func (q *Queue) PopBatch(buf []*tuple.Event) (out []*tuple.Event, ok bool) {
 	return out, true
 }
 
-// Pop blocks until an event is available or the queue is closed. It
-// reports ok=false only when the queue is closed and empty.
+// Pop blocks until an event is available or the queue is closed, and
+// removes it as a batch of one. It reports ok=false only when the queue is
+// closed and empty.
 func (q *Queue) Pop() (e *tuple.Event, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.n == 0 && !q.closed {
-		q.nonEmptyOrClosed.Wait()
-	}
-	return q.popFront()
-}
-
-// TryPop removes and returns the head without blocking.
-func (q *Queue) TryPop() (e *tuple.Event, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.popFront()
-}
-
-// popFront removes the head, shrinking the ring when a drained burst
-// leaves it mostly empty. Callers hold q.mu.
-func (q *Queue) popFront() (e *tuple.Event, ok bool) {
-	if q.n == 0 {
+	var one [1]*tuple.Event
+	out, ok := q.PopBatch(one[:])
+	if !ok {
 		return nil, false
 	}
-	e = q.buf[q.head]
-	q.buf[q.head] = nil // allow GC of the popped slot
-	q.head = (q.head + 1) % len(q.buf)
-	q.n--
-	if len(q.buf) > minCap && q.n <= len(q.buf)/4 {
-		q.resize(len(q.buf) / 2)
-	}
-	return e, true
+	return out[0], true
 }
 
 // resize moves the queued events into a fresh ring of the given capacity
@@ -180,28 +149,6 @@ func (q *Queue) Len() int {
 	return q.n
 }
 
-// Cap returns the current ring capacity (diagnostics and tests).
-func (q *Queue) Cap() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.buf)
-}
-
-// Closed reports whether Close has been called.
-func (q *Queue) Closed() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.closed
-}
-
-// Snapshot returns a copy of the queued events in FIFO order without
-// removing them.
-func (q *Queue) Snapshot() []*tuple.Event {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.drainLocked(false)
-}
-
 // CloseAndDrain atomically closes the queue and removes all queued events,
 // returning them in FIFO order. Because both happen under one critical
 // section, every concurrent Push lands either before the drain (and is
@@ -215,33 +162,10 @@ func (q *Queue) CloseAndDrain() []*tuple.Event {
 		q.closed = true
 		q.nonEmptyOrClosed.Broadcast()
 	}
-	return q.drainLocked(true)
-}
-
-// drainLocked copies the queued events out in FIFO order; when remove is
-// set it also empties the queue and releases the ring storage. Callers
-// hold q.mu.
-func (q *Queue) drainLocked(remove bool) []*tuple.Event {
 	out := make([]*tuple.Event, q.n)
-	for i := 0; i < q.n; i++ {
+	for i := range out {
 		out[i] = q.buf[(q.head+i)%len(q.buf)]
 	}
-	if remove {
-		q.buf = nil
-		q.head = 0
-		q.n = 0
-	}
+	q.buf, q.head, q.n = nil, 0, 0
 	return out
-}
-
-// Close marks the queue closed. Pending Pop calls drain remaining items
-// and then return ok=false; subsequent Push calls are rejected.
-func (q *Queue) Close() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return
-	}
-	q.closed = true
-	q.nonEmptyOrClosed.Broadcast()
 }

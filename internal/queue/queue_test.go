@@ -14,6 +14,28 @@ func ev(id tuple.ID) *tuple.Event {
 	return &tuple.Event{ID: id, Root: id, Kind: tuple.Data}
 }
 
+// queued returns the queued events in FIFO order without removing them,
+// read straight from the ring.
+func queued(q *Queue) []*tuple.Event {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	out := make([]*tuple.Event, q.n)
+	for i := range out {
+		out[i] = q.buf[(q.head+i)%len(q.buf)]
+	}
+	return out
+}
+
+// closeOnly marks q closed without draining it. The engine only ever
+// closes a queue through CloseAndDrain; tests use this to pin down how
+// Pop and PopBatch treat events still queued when the close lands.
+func closeOnly(q *Queue) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.closed = true
+	q.nonEmptyOrClosed.Broadcast()
+}
+
 func TestFIFOOrder(t *testing.T) {
 	q := New()
 	for i := 1; i <= 100; i++ {
@@ -64,7 +86,7 @@ func TestCloseUnblocksPop(t *testing.T) {
 		done <- ok
 	}()
 	time.Sleep(10 * time.Millisecond)
-	q.Close()
+	q.CloseAndDrain()
 	select {
 	case ok := <-done:
 		if ok {
@@ -79,7 +101,7 @@ func TestCloseDrainsRemainingItems(t *testing.T) {
 	q := New()
 	q.Push(ev(1))
 	q.Push(ev(2))
-	q.Close()
+	closeOnly(q)
 	if q.Push(ev(3)) {
 		t.Fatal("Push accepted after Close")
 	}
@@ -96,39 +118,14 @@ func TestCloseDrainsRemainingItems(t *testing.T) {
 
 func TestClosedAccessor(t *testing.T) {
 	q := New()
-	if q.Closed() {
+	if q.closed {
 		t.Fatal("new queue reports closed")
 	}
-	q.Close()
-	if !q.Closed() {
+	q.CloseAndDrain()
+	if !q.closed {
 		t.Fatal("closed queue reports open")
 	}
-	q.Close() // idempotent
-}
-
-func TestTryPop(t *testing.T) {
-	q := New()
-	if _, ok := q.TryPop(); ok {
-		t.Fatal("TryPop returned ok on empty queue")
-	}
-	q.Push(ev(5))
-	e, ok := q.TryPop()
-	if !ok || e.ID != 5 {
-		t.Fatalf("TryPop = (%v, %v), want (5, true)", e, ok)
-	}
-}
-
-func TestSnapshotDoesNotConsume(t *testing.T) {
-	q := New()
-	q.Push(ev(1))
-	q.Push(ev(2))
-	snap := q.Snapshot()
-	if len(snap) != 2 || snap[0].ID != 1 || snap[1].ID != 2 {
-		t.Fatalf("Snapshot = %v", snap)
-	}
-	if q.Len() != 2 {
-		t.Fatalf("Snapshot consumed items, Len = %d", q.Len())
-	}
+	q.CloseAndDrain() // idempotent
 }
 
 func TestConcurrentProducersSingleConsumer(t *testing.T) {
@@ -148,7 +145,7 @@ func TestConcurrentProducersSingleConsumer(t *testing.T) {
 	}
 	go func() {
 		wg.Wait()
-		q.Close()
+		closeOnly(q)
 	}()
 	seen := make(map[tuple.ID]bool)
 	perProducerLast := make(map[int]tuple.ID)
@@ -185,7 +182,7 @@ func TestRingWrapAround(t *testing.T) {
 			next++
 		}
 		for i := 0; i < 3; i++ {
-			e, ok := q.TryPop()
+			e, ok := q.Pop()
 			if !ok || e.ID != want {
 				t.Fatalf("round %d: popped (%v, %v), want %d", round, e, ok, want)
 			}
@@ -203,16 +200,16 @@ func TestRingShrinksAfterBurst(t *testing.T) {
 	for i := 1; i <= burst; i++ {
 		q.Push(ev(tuple.ID(i)))
 	}
-	grown := q.Cap()
+	grown := len(q.buf)
 	if grown < burst {
 		t.Fatalf("Cap = %d after %d pushes", grown, burst)
 	}
 	for i := 1; i <= burst; i++ {
-		if _, ok := q.TryPop(); !ok {
-			t.Fatalf("TryPop failed at %d", i)
+		if _, ok := q.Pop(); !ok {
+			t.Fatalf("Pop failed at %d", i)
 		}
 	}
-	if c := q.Cap(); c >= grown {
+	if c := len(q.buf); c >= grown {
 		t.Fatalf("Cap = %d after drain, want shrunk below %d", c, grown)
 	}
 }
@@ -231,7 +228,7 @@ func TestCloseAndDrainReturnsRemainder(t *testing.T) {
 			t.Fatalf("drain out of order at %d: %d", i, e.ID)
 		}
 	}
-	if !q.Closed() {
+	if !q.closed {
 		t.Fatal("queue open after CloseAndDrain")
 	}
 	if q.Push(ev(9)) {
@@ -291,7 +288,7 @@ func BenchmarkQueuePushPop(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q.Push(e)
-		q.TryPop()
+		q.Pop()
 	}
 }
 
@@ -308,7 +305,7 @@ func BenchmarkQueueBurst(b *testing.B) {
 			q.Push(e)
 		}
 		for j := 0; j < burst; j++ {
-			q.TryPop()
+			q.Pop()
 		}
 	}
 }
@@ -321,20 +318,19 @@ func TestFIFOProperty(t *testing.T) {
 			q.Push(ev(tuple.ID(id)))
 		}
 		for _, id := range ids {
-			e, ok := q.TryPop()
+			e, ok := q.Pop()
 			if !ok || e.ID != tuple.ID(id) {
 				return false
 			}
 		}
-		_, ok := q.TryPop()
-		return !ok
+		return q.Len() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: Snapshot equals the not-yet-popped suffix after k pops.
+// Property: the ring holds exactly the not-yet-popped suffix after k pops.
 func TestSnapshotProperty(t *testing.T) {
 	f := func(n, k uint8) bool {
 		total := int(n%50) + 1
@@ -344,9 +340,9 @@ func TestSnapshotProperty(t *testing.T) {
 			q.Push(ev(tuple.ID(i)))
 		}
 		for i := 0; i < pops; i++ {
-			q.TryPop()
+			q.Pop()
 		}
-		snap := q.Snapshot()
+		snap := queued(q)
 		if len(snap) != total-pops {
 			return false
 		}
@@ -396,7 +392,7 @@ func TestPushBatchFIFOWithSingles(t *testing.T) {
 
 func TestPushBatchAllOrNothingOnClosed(t *testing.T) {
 	q := New()
-	q.Close()
+	q.CloseAndDrain()
 	if q.PushBatch(evs(3, 0)) {
 		t.Fatal("PushBatch accepted on closed queue")
 	}
@@ -410,17 +406,17 @@ func TestPushBatchAllOrNothingOnClosed(t *testing.T) {
 func TestPushBatchPreSizesRing(t *testing.T) {
 	q := New()
 	q.Push(ev(1))
-	before := q.Cap() // minCap
+	before := len(q.buf) // minCap
 	if !q.PushBatch(evs(1000, 1)) {
 		t.Fatal("PushBatch rejected")
 	}
-	if q.Cap() < 1001 {
-		t.Fatalf("ring cap %d cannot hold %d queued events", q.Cap(), q.Len())
+	if len(q.buf) < 1001 {
+		t.Fatalf("ring cap %d cannot hold %d queued events", len(q.buf), q.Len())
 	}
 	// The grow is a single resize: capacity is the first power-of-two
 	// step that fits, not the result of repeated doubling-and-copying.
-	if q.Cap() != 1024 && before == minCap {
-		t.Fatalf("ring cap %d, want one grow to 1024 from %d", q.Cap(), before)
+	if len(q.buf) != 1024 && before == minCap {
+		t.Fatalf("ring cap %d, want one grow to 1024 from %d", len(q.buf), before)
 	}
 	for i := 1; i <= 1001; i++ {
 		e, ok := q.Pop()
@@ -451,7 +447,7 @@ func TestPopBatchDrainsFIFO(t *testing.T) {
 		}
 		popped += len(out)
 	}
-	q.Close()
+	q.CloseAndDrain()
 	if _, ok := q.PopBatch(buf); ok {
 		t.Fatal("PopBatch reported ok on closed empty queue")
 	}

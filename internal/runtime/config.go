@@ -105,7 +105,7 @@ type Config struct {
 	// replayed). Small relative to an outage's traffic, it is what makes
 	// DSM's replay counts grow with dataflow size while keeping per-task
 	// backlogs (and hence processing delays) bounded below the ack
-	// timeout, so recovery converges. Zero disables buffering entirely.
+	// timeout, so recovery converges. Zero leaves the buffer unbounded.
 	TransportBufferCap int
 
 	// FabricShards sets the delivery scheduler's shard (goroutine) count.
@@ -116,15 +116,14 @@ type Config struct {
 	// BatchMaxSize caps the per-link delivery micro-batch: the fabric
 	// stages sends per (sender, receiver) link and flushes a batch into
 	// the scheduler when it reaches this size or when BatchMaxDelay
-	// elapses, whichever comes first. Values <= 1 disable batching: every
-	// Send flushes immediately with the latency computed at send time —
-	// the exact pre-batching semantics.
+	// elapses, whichever comes first. Values <= 1 make every batch a batch
+	// of one, full as soon as it holds its event, so each Send flushes
+	// inline.
 	BatchMaxSize int
 	// BatchMaxDelay is the Nagle-style flush deadline (paper time) for a
 	// partially filled link batch, measured from the batch's first event.
 	// It bounds the extra delivery delay batching can add to a trickle.
-	// Non-positive values disable batching the same way BatchMaxSize=1
-	// does.
+	// Non-positive values mean batches of one, as BatchMaxSize=1 does.
 	BatchMaxDelay time.Duration
 
 	// RebalanceCmdTime is the runtime of the rebalance command itself

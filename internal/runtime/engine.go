@@ -221,7 +221,6 @@ func New(p Params) (*Engine, error) {
 		net:          p.Config.Network,
 		slotOf:       e.slotOf,
 		slotOfInst:   e.slotOfInst,
-		deliver:      e.deliver,
 		deliverBatch: e.deliverBatch,
 		shards:       p.Config.FabricShards,
 		batchSize:    p.Config.BatchMaxSize,
@@ -623,7 +622,7 @@ func (e *Engine) spawn(inst topology.Instance) {
 	if _, exists := e.executors[inst]; exists {
 		if buf != nil {
 			// Unregistered without a flush target: mark the buffer dead
-			// so a racing deliver fails over instead of appending into
+			// so a racing delivery fails over instead of appending into
 			// the void, and release anything it still holds.
 			buf.mu.Lock()
 			buf.flushed = true
@@ -721,74 +720,64 @@ type spawnBuffer struct {
 	events []*tuple.Event
 	// flushed marks the buffer dead: spawn has already drained it into
 	// the executor's queue (or discarded it) and unregistered it. A
-	// deliver that raced past the registry check must not append here —
+	// delivery that raced past the registry check must not append here —
 	// nothing would ever read the event again.
 	flushed bool
 }
 
-// deliver pushes ev onto the destination executor's queue. Data events
-// addressed to a respawning instance are buffered until its worker
-// starts; everything else addressed to a down instance is lost (false).
-func (e *Engine) deliver(to topology.Instance, ev *tuple.Event) bool {
+// deliverBatch hands a fabric batch to its destination and returns the
+// events that could not be delivered. It is one retry loop over a single
+// registry read:
+//   - a live executor takes the whole batch in one PushBatch;
+//   - a destination still respawning buffers its data events in the
+//     spawnBuffer up to TransportBufferCap (zero: unbounded); the
+//     overflow and every control event come back rejected;
+//   - a buffer already flushed, or a PushBatch rejected because a kill
+//     closed the queue, sends the loop back to the registry;
+//   - anything else rejects the whole batch.
+func (e *Engine) deliverBatch(to topology.Instance, evs []*tuple.Event) (rejected []*tuple.Event) {
 	for {
 		e.mu.RLock()
 		ex := e.executors[to]
 		buf := e.pendingSpawn[to]
 		e.mu.RUnlock()
 		if ex != nil && !ex.killed.Load() {
-			// A Kill racing with this push cannot lose the event uncounted:
-			// the kill closes and drains the queue in one atomic step, so the
-			// push either lands before the drain (counted by Kill) or is
-			// rejected here and counted by the fabric as dropped.
-			return ex.in.Push(ev)
+			// A Kill racing with this push cannot lose events uncounted:
+			// the kill closes and drains the queue in one atomic step, so
+			// the batch either lands before the drain (counted by Kill) or
+			// is rejected whole. Kill marks the executor killed before it
+			// closes the queue, so the retry no longer picks it.
+			if ex.in.PushBatch(evs) {
+				return nil
+			}
+			continue
 		}
-		if buf != nil && ev.IsData() {
-			buf.mu.Lock()
-			if buf.flushed {
-				// spawn drained and unregistered this buffer between our
-				// registry snapshot and the append; retry against the now
-				// registered executor (spawn completes before the entry
-				// disappears, so the retry terminates).
-				buf.mu.Unlock()
-				continue
-			}
-			if cap := e.cfg.TransportBufferCap; cap > 0 && len(buf.events) >= cap {
-				buf.mu.Unlock()
-				return false // transport queue overflow: dropped like netty's max retries
-			}
-			buf.events = append(buf.events, ev)
+		if buf == nil {
+			return evs
+		}
+		buf.mu.Lock()
+		if buf.flushed {
+			// spawn drained and unregistered this buffer between our
+			// registry read and the append; retry against the now
+			// registered executor (spawn completes before the entry
+			// disappears, so the retry terminates).
 			buf.mu.Unlock()
-			return true
+			continue
 		}
-		return false
-	}
-}
-
-// deliverBatch pushes a whole fabric batch onto the destination
-// executor's queue in one ring append and one wakeup, returning the
-// events that could not be delivered. The fast path — a live executor —
-// is one registry read and one PushBatch; anything else (respawning
-// destination, kill race, transport buffering) takes the per-event
-// deliver path, whose accounting is exactly the single-event fabric's.
-func (e *Engine) deliverBatch(to topology.Instance, evs []*tuple.Event) (rejected []*tuple.Event) {
-	e.mu.RLock()
-	ex := e.executors[to]
-	e.mu.RUnlock()
-	if ex != nil && !ex.killed.Load() {
-		// A Kill racing with this push cannot lose events uncounted: the
-		// kill closes and drains the queue in one atomic step, so the
-		// batch either lands before the drain (counted by Kill) or is
-		// rejected whole and re-tried event by event below.
-		if ex.in.PushBatch(evs) {
-			return nil
+		limit := e.cfg.TransportBufferCap
+		for _, ev := range evs {
+			if ev.IsData() && (limit <= 0 || len(buf.events) < limit) {
+				buf.events = append(buf.events, ev)
+			} else {
+				// Control events to a starting worker fail, and data past
+				// the cap overflows the transport queue (dropped like
+				// netty's max retries).
+				rejected = append(rejected, ev)
+			}
 		}
+		buf.mu.Unlock()
+		return rejected
 	}
-	for _, ev := range evs {
-		if !e.deliver(to, ev) {
-			rejected = append(rejected, ev)
-		}
-	}
-	return rejected
 }
 
 // routeData fans a processed event's output out along every outgoing

@@ -270,7 +270,7 @@ func TestKillDeliverRaceAccountsEveryEvent(t *testing.T) {
 			<-start
 			for i := 0; i < pushes; i++ {
 				ev := &tuple.Event{ID: h.eng.idgen.Next(), Kind: tuple.Data, SrcTask: "T1"}
-				if h.eng.deliver(inst, ev) {
+				if len(h.eng.deliverBatch(inst, []*tuple.Event{ev})) == 0 {
 					accepted.Add(1)
 				}
 			}
@@ -326,7 +326,8 @@ func TestRebalanceRetiresStaleSpawnBuffer(t *testing.T) {
 
 	// Buffer three data events for the starting worker.
 	for i := 0; i < 3; i++ {
-		if !h.eng.deliver(inst, &tuple.Event{ID: h.eng.idgen.Next(), Kind: tuple.Data, SrcTask: "T1"}) {
+		ev := &tuple.Event{ID: h.eng.idgen.Next(), Kind: tuple.Data, SrcTask: "T1"}
+		if len(h.eng.deliverBatch(inst, []*tuple.Event{ev})) != 0 {
 			t.Fatal("deliver rejected a bufferable event")
 		}
 	}
@@ -338,4 +339,83 @@ func TestRebalanceRetiresStaleSpawnBuffer(t *testing.T) {
 	if got := h.eng.LostAtKill() - lost0; got < 3 {
 		t.Fatalf("LostAtKill grew by %d, want >= 3 buffered events counted", got)
 	}
+}
+
+// TestDeliverBatchSpawnBuffer covers deliverBatch's respawn branch. A
+// batch addressed to an instance whose worker is still starting buffers
+// its data events up to TransportBufferCap and rejects the overflow and
+// every control event. A batch that finds the buffer already flushed goes
+// back to the registry and lands in the executor spawn registered.
+func TestDeliverBatchSpawnBuffer(t *testing.T) {
+	cfg := testConfig(ModeCCR)
+	cfg.TransportBufferCap = DefaultConfig(ModeCCR).TransportBufferCap
+	h := newHarnessCfg(t, linear3(), cfg)
+	inst := topology.Instance{Task: "T2", Index: 0}
+	data := func(n int) []*tuple.Event {
+		out := make([]*tuple.Event, n)
+		for i := range out {
+			out[i] = &tuple.Event{ID: h.eng.idgen.Next(), Kind: tuple.Data, SrcTask: "T1"}
+		}
+		return out
+	}
+
+	t.Run("overflow and control rejected", func(t *testing.T) {
+		buf := &spawnBuffer{}
+		h.eng.mu.Lock()
+		h.eng.pendingSpawn[inst] = buf
+		h.eng.mu.Unlock()
+		limit := cfg.TransportBufferCap
+		batch := append(data(limit+3), &tuple.Event{ID: h.eng.idgen.Next(), Kind: tuple.Prepare, Wave: 1})
+		rejected := h.eng.deliverBatch(inst, batch)
+		if len(buf.events) != limit {
+			t.Fatalf("buffered %d events, want TransportBufferCap = %d", len(buf.events), limit)
+		}
+		for i, ev := range buf.events {
+			if ev != batch[i] {
+				t.Fatalf("buffered event %d is ID %d, want ID %d (batch order)", i, ev.ID, batch[i].ID)
+			}
+		}
+		if len(rejected) != 4 {
+			t.Fatalf("rejected %d events, want 3 overflow + 1 PREPARE", len(rejected))
+		}
+		for i, ev := range rejected {
+			if ev != batch[limit+i] {
+				t.Fatalf("rejected event %d is ID %d, want ID %d", i, ev.ID, batch[limit+i].ID)
+			}
+		}
+	})
+
+	t.Run("flushed buffer retries registry", func(t *testing.T) {
+		buf := &spawnBuffer{}
+		h.eng.mu.Lock()
+		h.eng.pendingSpawn[inst] = buf
+		h.eng.mu.Unlock()
+		// Hold the buffer so the delivery parks on it after its registry
+		// read, then do what spawn does: register the executor, unregister
+		// the buffer and mark it flushed. The pause only makes the retry
+		// the path taken; a delivery that reads the registry late finds
+		// the executor directly, and the assertions hold either way.
+		buf.mu.Lock()
+		batch := data(5)
+		done := make(chan []*tuple.Event, 1)
+		go func() { done <- h.eng.deliverBatch(inst, batch) }()
+		time.Sleep(10 * time.Millisecond)
+		ex := newExecutor(h.eng, inst, true)
+		h.eng.mu.Lock()
+		delete(h.eng.pendingSpawn, inst)
+		h.eng.executors[inst] = ex
+		h.eng.mu.Unlock()
+		buf.flushed = true
+		buf.mu.Unlock()
+
+		if rejected := <-done; len(rejected) != 0 {
+			t.Fatalf("rejected %d events, want the batch delivered to the executor", len(rejected))
+		}
+		if len(buf.events) != 0 {
+			t.Fatalf("flushed buffer holds %d events", len(buf.events))
+		}
+		if n := ex.QueueLen(); n != len(batch) {
+			t.Fatalf("executor queue holds %d events, want %d", n, len(batch))
+		}
+	})
 }

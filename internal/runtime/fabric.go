@@ -14,15 +14,11 @@ import (
 	"repro/internal/tuple"
 )
 
-// deliverFn resolves the destination instance and enqueues the event,
-// reporting false when the destination executor is down (the event is
-// lost, as when Storm delivers to a killed worker).
-type deliverFn func(to topology.Instance, ev *tuple.Event) bool
-
 // deliverBatchFn hands a whole delivered batch to the destination in one
 // call (one queue lock, one consumer wakeup) and returns the events that
-// could NOT be delivered — nil on the happy path. The fabric accounts
-// for (and releases) the rejects exactly as deliverFn's false return.
+// could NOT be delivered — nil on the happy path; a rejected event is lost,
+// as when Storm delivers to a killed worker. The fabric counts and
+// releases the rejects.
 type deliverBatchFn func(to topology.Instance, evs []*tuple.Event) (rejected []*tuple.Event)
 
 // slotFn resolves an instance key's current slot (placement changes
@@ -50,7 +46,9 @@ type slotInstFn func(inst topology.Instance) cluster.SlotRef
 // first event (Nagle-style), whichever comes first. A flushed batch
 // costs one heap push, one scheduler pop, and one destination hand-off
 // regardless of how many events it carries — the per-event send path is
-// just an append under the shard lock.
+// just an append under the shard lock. A batch of one (batchSize 1) is
+// full as soon as it holds its event, so Send flushes it inline and never
+// arms a Nagle deadline.
 //
 // The FIFO guarantee holds because (a) all deliveries of a link land on
 // one shard and batches flush in staging order, (b) a link's per-event
@@ -63,12 +61,10 @@ type fabric struct {
 	net          cluster.NetworkModel
 	slotOf       slotFn
 	slotOfInst   slotInstFn
-	deliver      deliverFn
 	deliverBatch deliverBatchFn
 
-	// batchSize <= 1 disables batching: Send computes the latency at
-	// send time and flushes a single-event batch immediately — the exact
-	// pre-batching semantics. batchDelay <= 0 disables it the same way.
+	// batchSize is the flush watermark; 1 makes every Send flush its
+	// event inline as a batch of one.
 	batchSize  int
 	batchDelay time.Duration
 
@@ -94,11 +90,10 @@ type fabricParams struct {
 	net          cluster.NetworkModel
 	slotOf       slotFn
 	slotOfInst   slotInstFn
-	deliver      deliverFn
-	deliverBatch deliverBatchFn // optional; falls back to per-event deliver
-	shards       int            // 0 means GOMAXPROCS
-	batchSize    int            // <= 1 disables batching
-	batchDelay   time.Duration  // <= 0 disables batching
+	deliverBatch deliverBatchFn
+	shards       int           // 0 means GOMAXPROCS
+	batchSize    int           // <= 1 means batches of one
+	batchDelay   time.Duration // <= 0 means batches of one
 }
 
 type linkKey struct {
@@ -138,11 +133,10 @@ type linkStage struct {
 	key linkKey
 	to  topology.Instance
 	vec *tuple.Vec // nil when nothing is staged
-	// gen increments every time a fresh batch starts; pendingStages
-	// entries carry the gen they were armed for, so an entry whose stage
-	// was size-flushed (and possibly re-armed) is recognized as stale.
-	gen      uint64
-	deadline time.Time
+	// gen increments every time a fresh batch starts; pending entries
+	// carry the gen they were armed for, so an entry whose stage was
+	// size-flushed (and possibly re-armed) is recognized as stale.
+	gen uint64
 }
 
 // stageRef is a deadline-ordered reference to an armed stage. Deadlines
@@ -206,7 +200,6 @@ func newFabric(p fabricParams) *fabric {
 		net:          p.net,
 		slotOf:       p.slotOf,
 		slotOfInst:   slotOfInst,
-		deliver:      p.deliver,
 		deliverBatch: p.deliverBatch,
 		batchSize:    batchSize,
 		batchDelay:   p.batchDelay,
@@ -241,19 +234,14 @@ func (f *fabric) shardOf(key linkKey) *fabShard {
 
 // Send schedules ev for delivery from the sender (an instance key; the
 // coordinator and sources send too) to the destination instance, after
-// the one-way latency between their current slots. With batching on, the
-// event is staged on its link and the latency is computed when the batch
-// flushes (size watermark or deadline) — the wire frames a batch, then
-// sends it. Sending concurrently with Close is safe: the event is
-// dropped and counted.
+// the one-way latency between their current slots. The event is staged on
+// its link and the latency is computed when the batch flushes (size
+// watermark or deadline) — the wire frames a batch, then sends it.
+// Sending concurrently with Close is safe: the event is dropped and
+// counted.
 func (f *fabric) Send(fromKey string, to topology.Instance, ev *tuple.Event) {
 	key := linkKey{from: fromKey, to: to}
 	sh := f.shardOf(key)
-	if f.batchSize <= 1 {
-		f.sendUnbatched(sh, key, to, ev)
-		return
-	}
-
 	sh.mu.Lock()
 	for sh.queued >= shardBuffer && !sh.closed {
 		sh.notFull.Wait()
@@ -270,69 +258,29 @@ func (f *fabric) Send(fromKey string, to topology.Instance, ev *tuple.Event) {
 		sh.links[key] = st
 	}
 	if st.vec == nil {
-		// First event of a fresh batch: arm the Nagle deadline and make
-		// sure the consumer will be awake by then.
 		st.vec = tuple.GetVec()
 		st.gen++
-		st.deadline = f.clock.Now().Add(f.batchDelay)
-		sh.pending = append(sh.pending, stageRef{st: st, gen: st.gen, at: st.deadline})
-		if sh.waiting {
-			sh.notEmpty.Signal()
-		} else if !sh.sleepTo.IsZero() && st.deadline.Before(sh.sleepTo) {
-			select {
-			case sh.wake <- struct{}{}:
-			default:
-			}
-		}
 	}
 	st.vec.Ev = append(st.vec.Ev, ev)
 	sh.queued++
+	// Wake the consumer if it is parked, or sleeping past the instant it
+	// must now act on: a full batch's first delivery, or a fresh batch's
+	// Nagle deadline. A flushed batch's staged at is pre-clamp, which can
+	// only be earlier than its final deadline, so the sleep interrupt errs
+	// on the safe (spurious wake) side.
+	var at time.Time
 	if len(st.vec.Ev) >= f.batchSize {
-		b := f.flushStage(sh, st)
-		// The flushed batch may be deliverable before whatever the
-		// consumer is currently sleeping toward. The staged at is
-		// pre-clamp, which can only be earlier than the final deadline,
-		// so the sleep interrupt errs on the safe (spurious wake) side.
-		if sh.waiting {
-			sh.notEmpty.Signal()
-		} else if !sh.sleepTo.IsZero() && b.ats[0].Before(sh.sleepTo) {
-			select {
-			case sh.wake <- struct{}{}:
-			default:
-			}
-		}
-	}
-	sh.mu.Unlock()
-}
-
-// sendUnbatched is the batching-off path: latency is computed at send
-// time, before the backpressure wait, exactly as the pre-batching fabric
-// did; the event travels as a batch of one.
-func (f *fabric) sendUnbatched(sh *fabShard, key linkKey, to topology.Instance, ev *tuple.Event) {
-	now := f.clock.Now()
-	lat := f.net.LatencyAt(f.slotOf(key.from), f.slotOfInst(to), f.sendSeq.Add(1), now.Sub(f.start))
-	deliverAt := now.Add(lat)
-
-	sh.mu.Lock()
-	for sh.queued >= shardBuffer && !sh.closed {
-		sh.notFull.Wait()
-	}
-	if sh.closed {
+		at = f.flushStage(sh, st).ats[0]
+	} else if len(st.vec.Ev) == 1 {
+		at = f.clock.Now().Add(f.batchDelay)
+		sh.pending = append(sh.pending, stageRef{st: st, gen: st.gen, at: at})
+	} else {
 		sh.mu.Unlock()
-		f.dropped.Add(1)
-		ev.Release() // dropped before hand-off: this was the last owner
 		return
 	}
-	b := batchPool.Get().(*fabBatch)
-	b.vec = tuple.GetVec()
-	b.vec.Ev = append(b.vec.Ev, ev)
-	b.ats = append(b.ats[:0], deliverAt)
-	b.to, b.key = to, key
-	sh.intake = append(sh.intake, b)
-	sh.queued++
 	if sh.waiting {
 		sh.notEmpty.Signal()
-	} else if !sh.sleepTo.IsZero() && deliverAt.Before(sh.sleepTo) {
+	} else if !sh.sleepTo.IsZero() && at.Before(sh.sleepTo) {
 		select {
 		case sh.wake <- struct{}{}:
 		default:
@@ -350,7 +298,6 @@ func (f *fabric) sendUnbatched(sh *fabShard, key linkKey, to topology.Instance, 
 func (f *fabric) flushStage(sh *fabShard, st *linkStage) *fabBatch {
 	vec := st.vec
 	st.vec = nil
-	st.deadline = time.Time{}
 
 	now := f.clock.Now()
 	from := f.slotOf(st.key.from)
@@ -447,7 +394,7 @@ func (sh *fabShard) nextDeadline() (time.Time, bool) {
 // a millisecond of paper time, far below the OS timer's oversleep under
 // a compressed clock). Only the due prefix of a batch is delivered; the
 // remainder is re-keyed at its next deadline, so per-event delivery
-// instants are exactly what the unbatched fabric would have produced for
+// instants are exactly what a batch-of-one fabric would have produced for
 // the same (deliverAt, clamp) sequence. After Close it keeps draining —
 // including staged, unflushed batches — until everything is delivered.
 func (f *fabric) runShard(sh *fabShard) {
@@ -508,23 +455,13 @@ func (f *fabric) runShard(sh *fabShard) {
 	}
 }
 
-// handOff delivers a due batch to its destination, preferring the batch
-// hand-off (one queue append, one wakeup) and falling back to per-event
-// delivery. Rejected events are counted dropped and released — the
-// fabric was their last owner.
+// handOff delivers a due batch to its destination in one call (one
+// queue append, one wakeup). Rejected events are counted dropped and
+// released — the fabric was their last owner.
 func (f *fabric) handOff(to topology.Instance, evs []*tuple.Event) {
-	if f.deliverBatch != nil {
-		for _, ev := range f.deliverBatch(to, evs) {
-			f.dropped.Add(1)
-			ev.Release() // lost at delivery: nobody downstream owns it
-		}
-		return
-	}
-	for _, ev := range evs {
-		if !f.deliver(to, ev) {
-			f.dropped.Add(1)
-			ev.Release() // lost at delivery: nobody downstream owns it
-		}
+	for _, ev := range f.deliverBatch(to, evs) {
+		f.dropped.Add(1)
+		ev.Release() // lost at delivery: nobody downstream owns it
 	}
 }
 

@@ -30,14 +30,14 @@ func newCollectingDeliver() *collectingDeliver {
 	}
 }
 
-func (c *collectingDeliver) deliver(to topology.Instance, ev *tuple.Event) bool {
+func (c *collectingDeliver) deliverBatch(to topology.Instance, evs []*tuple.Event) []*tuple.Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.reject[to] {
-		return false
+		return evs
 	}
-	c.got[to] = append(c.got[to], ev)
-	return true
+	c.got[to] = append(c.got[to], evs...)
+	return nil
 }
 
 func (c *collectingDeliver) events(to topology.Instance) []*tuple.Event {
@@ -70,7 +70,7 @@ func testFabricBatch(col *collectingDeliver, batchSize int, batchDelay time.Dura
 		InterVM:  5 * time.Millisecond,
 	}
 	f := newFabric(fabricParams{
-		clock: clock, net: net, slotOf: slots, deliver: col.deliver,
+		clock: clock, net: net, slotOf: slots, deliverBatch: col.deliverBatch,
 		batchSize: batchSize, batchDelay: batchDelay,
 	})
 	return f, clock
@@ -199,7 +199,7 @@ func TestFabricFIFOStress(t *testing.T) {
 	}
 	net := cluster.NetworkModel{SameSlot: 0, IntraVM: time.Millisecond, InterVM: 5 * time.Millisecond}
 	f := newFabric(fabricParams{
-		clock: clock, net: net, slotOf: slots, deliver: col.deliver, shards: 4,
+		clock: clock, net: net, slotOf: slots, deliverBatch: col.deliverBatch, shards: 4,
 		batchSize: 4, batchDelay: time.Millisecond,
 	})
 	defer f.Close()
@@ -265,7 +265,7 @@ func TestFabricFIFOStressUnderJitter(t *testing.T) {
 		Jitter: 4 * time.Millisecond, JitterSeed: 42,
 	}
 	f := newFabric(fabricParams{
-		clock: clock, net: net, slotOf: slots, deliver: col.deliver, shards: 4,
+		clock: clock, net: net, slotOf: slots, deliverBatch: col.deliverBatch, shards: 4,
 		batchSize: 4, batchDelay: time.Millisecond,
 	})
 	defer f.Close()
@@ -328,7 +328,7 @@ func TestFabricPartitionStallsDelivery(t *testing.T) {
 	// Full-size batches: the lone event rides the Nagle deadline flush,
 	// and its partition stall is computed at flush time.
 	f := newFabric(fabricParams{
-		clock: clock, net: net, slotOf: slots, deliver: col.deliver, shards: 2,
+		clock: clock, net: net, slotOf: slots, deliverBatch: col.deliverBatch, shards: 2,
 		batchSize: 64, batchDelay: time.Millisecond,
 	})
 	defer f.Close()
@@ -406,7 +406,7 @@ func TestFabricGoroutineCountIsOShards(t *testing.T) {
 	before := runtime.NumGoroutine()
 	const shards = 8
 	f := newFabric(fabricParams{
-		clock: clock, net: net, slotOf: slots, deliver: col.deliver, shards: shards,
+		clock: clock, net: net, slotOf: slots, deliverBatch: col.deliverBatch, shards: shards,
 		batchSize: 64, batchDelay: time.Millisecond,
 	})
 	const links = 4096 // 64 senders x 64 destinations
@@ -433,9 +433,9 @@ func BenchmarkFabricThroughput(b *testing.B) {
 	benchFabricThroughput(b, 64, time.Millisecond)
 }
 
-// BenchmarkFabricThroughputUnbatched is the same run with batching off
-// (BatchMaxSize=1); the gap against BenchmarkFabricThroughput is the
-// amortization win.
+// BenchmarkFabricThroughputUnbatched is the same run with batches of one
+// (BatchMaxSize=1), each flushed inline at send time; the gap against
+// BenchmarkFabricThroughput is the amortization win.
 func BenchmarkFabricThroughputUnbatched(b *testing.B) {
 	benchFabricThroughput(b, 1, 0)
 }
@@ -447,9 +447,9 @@ func benchFabricThroughput(b *testing.B, batchSize int, batchDelay time.Duration
 	net := cluster.NetworkModel{}
 	f := newFabric(fabricParams{
 		clock: clock, net: net, slotOf: slots,
-		deliver: func(to topology.Instance, ev *tuple.Event) bool {
-			delivered.Add(1)
-			return true
+		deliverBatch: func(to topology.Instance, evs []*tuple.Event) []*tuple.Event {
+			delivered.Add(uint64(len(evs)))
+			return nil
 		},
 		batchSize: batchSize, batchDelay: batchDelay,
 	})
@@ -487,9 +487,9 @@ func BenchmarkFabricThroughputLatency(b *testing.B) {
 	net := cluster.NetworkModel{SameSlot: 0, IntraVM: 100 * time.Microsecond, InterVM: 300 * time.Microsecond}
 	f := newFabric(fabricParams{
 		clock: clock, net: net, slotOf: slots,
-		deliver: func(to topology.Instance, ev *tuple.Event) bool {
-			delivered.Add(1)
-			return true
+		deliverBatch: func(to topology.Instance, evs []*tuple.Event) []*tuple.Event {
+			delivered.Add(uint64(len(evs)))
+			return nil
 		},
 		batchSize: 64, batchDelay: time.Millisecond,
 	})
@@ -536,7 +536,7 @@ func runFabricScript(t *testing.T, batchSize int, batchDelay time.Duration, jitt
 		Jitter: 3 * time.Millisecond, JitterSeed: jitterSeed,
 	}
 	f := newFabric(fabricParams{
-		clock: clock, net: net, slotOf: slots, deliver: col.deliver, shards: 4,
+		clock: clock, net: net, slotOf: slots, deliverBatch: col.deliverBatch, shards: 4,
 		batchSize: batchSize, batchDelay: batchDelay,
 	})
 	const senders = 6
@@ -577,7 +577,7 @@ func runFabricScript(t *testing.T, batchSize int, batchDelay time.Duration, jitt
 // TestFabricBatchingEquivalence is the batching correctness property:
 // for a fixed send script on a fixed seed, a batched fabric must deliver
 // byte-identical per-link sequences and identical totals to the
-// unbatched (BatchMaxSize=1) fabric — across batch sizes, Nagle
+// batch-of-one (BatchMaxSize=1) fabric — across batch sizes, Nagle
 // deadlines, and jitter seeds. Batching may only change WHEN a delivery
 // happens (by at most the flush deadline), never WHAT arrives or in
 // which per-link order.

@@ -33,7 +33,7 @@
 //
 // Or reproduce one scripted evaluation cell with the batch runner:
 //
-//	res, err := repro.RunScenario(repro.Scenario{
+//	res, err := repro.RunScenario(ctx, repro.Scenario{
 //	    Spec:      repro.Grid(),
 //	    Strategy:  repro.CCR{},
 //	    Direction: repro.ScaleIn,
@@ -83,14 +83,11 @@ var (
 	WithStrategy        = job.WithStrategy
 	WithFactory         = job.WithFactory
 	WithSeed            = job.WithSeed
-	WithFabricShards    = job.WithFabricShards
-	WithBatching        = job.WithBatching
 	WithSourceRate      = job.WithSourceRate
 	WithConfigOverrides = job.WithConfigOverrides
 	WithScheduler       = job.WithScheduler
 	WithInitialFleet    = job.WithInitialFleet
 	WithQueuedControl   = job.WithQueuedControl
-	WithEventBuffer     = job.WithEventBuffer
 	WithSupervision     = job.WithSupervision
 )
 
@@ -287,13 +284,6 @@ type (
 	Config = runtime.Config
 )
 
-// Params configures manual engine construction.
-//
-// Deprecated: Submit deploys the engine, cluster and placement in one
-// call and returns a Job handle with serialized control; build Params
-// only when the deployment itself is under test.
-type Params = runtime.Params
-
 // Mode selects which strategy machinery the engine is provisioned with.
 type Mode = runtime.Mode
 
@@ -303,12 +293,6 @@ const (
 	ModeDCR = runtime.ModeDCR
 	ModeCCR = runtime.ModeCCR
 )
-
-// NewEngine builds an engine from Params.
-//
-// Deprecated: use Submit, which wraps the engine in a Job handle with
-// lifecycle, live operations, events and serialized control.
-var NewEngine = runtime.New
 
 // DefaultConfig returns the paper's experiment configuration for a mode.
 var DefaultConfig = runtime.DefaultConfig
@@ -386,13 +370,9 @@ const (
 )
 
 // RunScenario executes one scenario end to end (on the Job control
-// plane under the hood).
+// plane under the hood). Canceling ctx drains the dataflow gracefully and
+// returns the partial Result with Canceled set.
 var RunScenario = experiments.Run
-
-// RunScenarioContext is RunScenario under a context: cancellation drains
-// the dataflow gracefully and returns the partial Result with Canceled
-// set.
-var RunScenarioContext = experiments.RunContext
 
 // NewSuite returns a memoizing evaluation matrix runner.
 var NewSuite = experiments.NewSuite
@@ -449,11 +429,9 @@ type (
 	AutoscaleResult   = experiments.AutoscaleResult
 )
 
-// RunAutoscaleScenario executes one autoscale cell end to end.
+// RunAutoscaleScenario executes one autoscale cell end to end under a
+// context.
 var RunAutoscaleScenario = experiments.RunAutoscale
-
-// RunAutoscaleScenarioContext is RunAutoscaleScenario under a context.
-var RunAutoscaleScenarioContext = experiments.RunAutoscaleContext
 
 // AutoscaleComparison renders the policy × strategy comparison table.
 var AutoscaleComparison = experiments.AutoscaleComparison

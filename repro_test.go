@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -60,7 +61,7 @@ func TestFacadeStrategies(t *testing.T) {
 
 // TestFacadeEndToEnd runs a tiny scenario through the public API only.
 func TestFacadeEndToEnd(t *testing.T) {
-	res, err := RunScenario(Scenario{
+	res, err := RunScenario(context.Background(), Scenario{
 		Spec:      Linear(),
 		Strategy:  CCR{},
 		Direction: ScaleIn,
