@@ -128,6 +128,19 @@ func TestClosedAccessor(t *testing.T) {
 	q.CloseAndDrain() // idempotent
 }
 
+func TestSnapshotDoesNotConsume(t *testing.T) {
+	q := New()
+	q.Push(ev(1))
+	q.Push(ev(2))
+	snap := queued(q)
+	if len(snap) != 2 || snap[0].ID != 1 || snap[1].ID != 2 {
+		t.Fatalf("queued = %v", snap)
+	}
+	if q.Len() != 2 {
+		t.Fatalf("reading the ring consumed items, Len = %d", q.Len())
+	}
+}
+
 func TestConcurrentProducersSingleConsumer(t *testing.T) {
 	q := New()
 	const producers = 8
