@@ -13,8 +13,8 @@
 // exempt by construction (Analyzer.IgnoreTests): tests own the wall
 // clock for watchdog guards and -timeout interplay.
 //
-// Legitimate wall-clock sites (cmd wall-time reporting, benchdiff
-// snapshot timestamps) carry an annotation:
+// Legitimate wall-clock sites (cmd wall-time reporting) carry an
+// annotation:
 //
 //	start := time.Now() //vetstorm:allow wallclock reporting real elapsed wall time to the operator
 package wallclock

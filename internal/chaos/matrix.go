@@ -192,7 +192,6 @@ func RunCell(ctx context.Context, cell Cell, o Options) Result {
 			cfg.Network.Partitions = sc.Partitions
 			if sc.BatchSize != 0 {
 				cfg.BatchMaxSize = sc.BatchSize
-				cfg.BatchMaxDelay = sc.BatchDelay
 			}
 			// Chaos probes correctness, not §5 enactment timing: compress
 			// the operational delays so a 13-cell matrix fits in CI.

@@ -78,9 +78,12 @@ func TestMatrixShape(t *testing.T) {
 			if c.Phase == "" {
 				t.Fatalf("%s: batch-boundary scenario must be a crash cell", c.ID())
 			}
-			if c.Scenario.BatchDelay <= time.Millisecond {
-				t.Fatalf("%s: batch scenario delay %v too small to keep batches in flight",
-					c.ID(), c.Scenario.BatchDelay)
+			// Ack-clocked batching stages a link's events behind its
+			// in-flight batch for that batch's wire time: only a wire
+			// time well above a LAN hop keeps whole batches in flight.
+			if c.Scenario.Jitter <= time.Millisecond {
+				t.Fatalf("%s: batch scenario jitter %v too small to keep batches in flight",
+					c.ID(), c.Scenario.Jitter)
 			}
 			batch = true
 		}

@@ -67,12 +67,12 @@ type Scenario struct {
 	// timeout would force replays whose originals also arrive — a
 	// duplicate the strategy never promised to prevent).
 	Partitions []cluster.Partition
-	// BatchSize/BatchDelay override the fabric's per-link micro-batch
-	// limits (zero BatchSize keeps the engine defaults). Batch scenarios
-	// use an oversized Nagle deadline so whole micro-batches sit staged
-	// in link buffers when the crash lands.
-	BatchSize  int
-	BatchDelay time.Duration
+	// BatchSize overrides the fabric's per-link micro-batch cap (zero
+	// keeps the engine default). Batch scenarios pair it with a large
+	// Jitter: under ack-clocked batching, events stage behind a link's
+	// in-flight batch for its whole wire time, so whole micro-batches sit
+	// staged or in flight when the crash lands.
+	BatchSize int
 }
 
 // scheduleHorizon bounds generated schedules: long enough to cover
@@ -135,24 +135,24 @@ func ChainBurst(seed int64) Scenario {
 	}
 }
 
-// ChainBatch: a chain under bursty load with oversized fabric batching
-// (32-event batches, 20 ms paper-time Nagle deadline — an order of
-// magnitude above the engine default): at any instant whole
-// micro-batches sit staged in per-link buffers or scheduled in the
-// shard heaps, so a crash injected mid-migration lands on batch
+// ChainBatch: a chain under bursty load with 32-event batches and up to
+// 20 ms of paper-time delivery jitter — an order of magnitude above a
+// LAN hop. Under ack-clocked batching a link's events stage behind its
+// in-flight batch for that batch's whole wire time, so at any instant
+// whole micro-batches sit staged in per-link buffers or scheduled in
+// the shard heaps, and a crash injected mid-migration lands on batch
 // boundaries. The kill-vs-deliver race must account for every staged
 // event exactly once — flushed-but-undelivered batches included.
 func ChainBatch(seed int64) Scenario {
 	return Scenario{
-		Name:       "chain-batch",
-		Seed:       seed,
-		Spec:       chainSpec(seed),
-		Keys:       workload.UniformKeys(seed),
-		Rates:      workload.BurstSchedule(seed, 4, 8, 30*time.Second, 6*time.Second, scheduleHorizon),
-		BaseRate:   4,
-		Jitter:     time.Millisecond,
-		BatchSize:  32,
-		BatchDelay: 20 * time.Millisecond,
+		Name:      "chain-batch",
+		Seed:      seed,
+		Spec:      chainSpec(seed),
+		Keys:      workload.UniformKeys(seed),
+		Rates:     workload.BurstSchedule(seed, 4, 8, 30*time.Second, 6*time.Second, scheduleHorizon),
+		BaseRate:  4,
+		Jitter:    20 * time.Millisecond,
+		BatchSize: 32,
 	}
 }
 

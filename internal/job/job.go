@@ -352,10 +352,11 @@ func (j *Job) Wait(ctx context.Context) error {
 func (j *Job) State() State { return State(j.state.Load()) }
 
 // Drain quiesces the dataflow: sources pause, then Drain blocks until
-// every in-flight event has been processed (queues empty, sink idle for
-// two consecutive seconds of paper time). The drained job keeps its
-// executors and state — Resume continues it, Stop ends it. Canceling ctx
-// aborts the drain and resumes the sources.
+// every in-flight event has been processed — polled every drainPoll, it
+// returns once drainQuiet of paper time has passed with nothing moving
+// (no sink arrival, no queue backlog, no pending respawn). The drained
+// job keeps its executors and state — Resume continues it, Stop ends it.
+// Canceling ctx aborts the drain and resumes the sources.
 func (j *Job) Drain(ctx context.Context) error {
 	if err := j.acquire(ctx, "Drain"); err != nil {
 		return err
@@ -371,7 +372,8 @@ func (j *Job) Drain(ctx context.Context) error {
 	j.eng.PauseSources()
 
 	lastSink := j.eng.Audit().SinkArrivals()
-	for quiet := 0; quiet < 2; {
+	quietSince := j.clock.Now()
+	for j.clock.Since(quietSince) < drainQuiet {
 		if err := ctx.Err(); err != nil {
 			j.eng.UnpauseSources()
 			j.state.CompareAndSwap(int32(StateDraining), int32(StateRunning))
@@ -379,7 +381,7 @@ func (j *Job) Drain(ctx context.Context) error {
 			j.release()
 			return err
 		}
-		j.clock.Sleep(time.Second)
+		j.clock.Sleep(drainPoll)
 		if j.State() == StateStopped {
 			j.release()
 			return ErrStopped
@@ -389,10 +391,8 @@ func (j *Job) Drain(ctx context.Context) error {
 			backlog += d
 		}
 		sink := j.eng.Audit().SinkArrivals()
-		if backlog == 0 && sink == lastSink && j.eng.PendingRespawns() == 0 {
-			quiet++
-		} else {
-			quiet = 0
+		if backlog != 0 || sink != lastSink || j.eng.PendingRespawns() != 0 {
+			quietSince = j.clock.Now()
 		}
 		lastSink = sink
 	}
@@ -404,6 +404,13 @@ func (j *Job) Drain(ctx context.Context) error {
 	j.release()
 	return nil
 }
+
+// Drain's quiet rule (paper time): return once drainQuiet has passed
+// since the last observed change, checking every drainPoll.
+const (
+	drainQuiet = 2 * time.Second
+	drainPoll  = 10 * time.Millisecond
+)
 
 // Resume unpauses a drained dataflow.
 func (j *Job) Resume() error {

@@ -113,18 +113,14 @@ type Config struct {
 	// topology size; links are hashed across them.
 	FabricShards int
 
-	// BatchMaxSize caps the per-link delivery micro-batch: the fabric
-	// stages sends per (sender, receiver) link and flushes a batch into
-	// the scheduler when it reaches this size or when BatchMaxDelay
-	// elapses, whichever comes first. Values <= 1 make every batch a batch
-	// of one, full as soon as it holds its event, so each Send flushes
+	// BatchMaxSize caps the per-link delivery micro-batch. Batching is
+	// ack-clocked: a send on a (sender, receiver) link with no batch in
+	// flight leaves at once; behind an in-flight batch it is staged, and
+	// the stage flushes when the in-flight batch is handed off or when it
+	// reaches this size, whichever comes first. No timer is involved.
+	// Values <= 1 make every batch a batch of one, so each Send flushes
 	// inline.
 	BatchMaxSize int
-	// BatchMaxDelay is the Nagle-style flush deadline (paper time) for a
-	// partially filled link batch, measured from the batch's first event.
-	// It bounds the extra delivery delay batching can add to a trickle.
-	// Non-positive values mean batches of one, as BatchMaxSize=1 does.
-	BatchMaxDelay time.Duration
 
 	// RebalanceCmdTime is the runtime of the rebalance command itself
 	// (kill, reassign, supervisor sync) — ~7 s in the paper, roughly
@@ -185,7 +181,6 @@ func DefaultConfig(mode Mode) Config {
 		StoreLatency:       statestore.DefaultLatency(),
 		TransportBufferCap: 64,
 		BatchMaxSize:       64,
-		BatchMaxDelay:      time.Millisecond,
 		RebalanceCmdTime:   7 * time.Second,
 		WorkerBaseDelay:    6 * time.Second,
 		WorkerStagger:      1800 * time.Millisecond,

@@ -72,7 +72,9 @@ type Engine struct {
 	started       bool
 	stopped       bool
 
-	// Static routing tables, built once.
+	// Static routing tables, built once. keys holds every instance's
+	// String(): the send path looks its sender key up, never formats it.
+	keys          map[topology.Instance]string
 	shuffle       map[edgeKey]*atomic.Uint64
 	expectAlign   map[string]int
 	firstLayer    []topology.Instance
@@ -159,6 +161,7 @@ func New(p Params) (*Engine, error) {
 		heartbeats:    make(map[topology.Instance]*atomic.Int64),
 		respawnTimers: make(map[uint64]timex.Timer),
 		innerSchedule: p.InnerSchedule,
+		keys:          make(map[topology.Instance]string),
 		shuffle:       make(map[edgeKey]*atomic.Uint64),
 		expectAlign:   make(map[string]int),
 	}
@@ -180,6 +183,9 @@ func New(p Params) (*Engine, error) {
 	}
 
 	// Routing tables.
+	for _, inst := range e.topo.Instances() {
+		e.keys[inst] = inst.String()
+	}
 	for _, name := range e.topo.TaskNames() {
 		for _, edge := range e.topo.Outgoing(name) {
 			e.shuffle[edgeKey{edge.From, edge.To}] = &atomic.Uint64{}
@@ -224,7 +230,6 @@ func New(p Params) (*Engine, error) {
 		deliverBatch: e.deliverBatch,
 		shards:       p.Config.FabricShards,
 		batchSize:    p.Config.BatchMaxSize,
-		batchDelay:   p.Config.BatchMaxDelay,
 	})
 	return e, nil
 }
@@ -501,7 +506,9 @@ func (e *Engine) forEachSink(f func(*Executor)) {
 // executors whose slots change, wait out the command's runtime, update
 // placement, and schedule the respawned workers with staggered start
 // delays. It returns once the command completes — workers may still be
-// starting, exactly as observed in the paper.
+// starting, exactly as observed in the paper. A worker whose start delay
+// is not positive is already running when Rebalance returns, so the INIT
+// a zero-delay migration sends next never finds it starting.
 func (e *Engine) Rebalance(newSched *scheduler.Schedule) []topology.Instance {
 	e.collector.MarkRebalanceStart()
 	e.notePhase(PhaseRebalanceStart)
@@ -541,13 +548,14 @@ func (e *Engine) Rebalance(newSched *scheduler.Schedule) []topology.Instance {
 	e.rngMu.Unlock()
 
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.stopped {
 		// A Stop raced in while the rebalance command ran: it already
 		// cancelled every respawn timer, so scheduling new ones would
 		// leave workers respawning into a dead engine.
+		e.mu.Unlock()
 		return migrating
 	}
+	var spawnNow []topology.Instance
 	for i, inst := range order {
 		inst := inst
 		// From this point the new assignment is known: the transport
@@ -570,9 +578,17 @@ func (e *Engine) Rebalance(newSched *scheduler.Schedule) []topology.Instance {
 		}
 		e.pendingSpawn[inst] = &spawnBuffer{}
 		delay := e.cfg.WorkerBaseDelay + time.Duration(i)*e.cfg.WorkerStagger + e.randJitter()
+		if delay <= 0 {
+			spawnNow = append(spawnNow, inst)
+			continue
+		}
 		id := e.respawnSeq
 		e.respawnSeq++
 		e.respawnTimers[id] = e.clock.AfterFunc(delay, func() { e.respawnFired(id, inst) })
+	}
+	e.mu.Unlock()
+	for _, inst := range spawnNow {
+		e.spawn(inst)
 	}
 	return migrating
 }
@@ -790,7 +806,7 @@ func (e *Engine) routeData(from topology.Instance, parent *tuple.Event, value an
 		if e.cfg.AckDataEvents() && parent.Root != 0 {
 			e.ack.Anchor(parent.Root, child.ID)
 		}
-		e.fab.Send(from.String(), target, child)
+		e.fab.Send(e.keys[from], target, child)
 	}
 }
 
@@ -803,7 +819,7 @@ func (e *Engine) routeFromSource(from topology.Instance, root *tuple.Event) {
 		if e.cfg.AckDataEvents() {
 			e.ack.Anchor(root.Root, child.ID)
 		}
-		e.fab.Send(from.String(), target, child)
+		e.fab.Send(e.keys[from], target, child)
 	}
 }
 
@@ -843,7 +859,7 @@ func (e *Engine) forwardCheckpoint(from topology.Instance, ev *tuple.Event) {
 			cp.ID = e.idgen.Next()
 			cp.SrcTask = from.Task
 			cp.SrcInstance = from.Index
-			e.fab.Send(from.String(), topology.Instance{Task: edge.To, Index: i}, cp)
+			e.fab.Send(e.keys[from], topology.Instance{Task: edge.To, Index: i}, cp)
 		}
 	}
 }

@@ -62,6 +62,12 @@ type Executor struct {
 
 	// Platform state below is touched only by the executor goroutine.
 
+	// emit is the output callback handed to the user logic, bound once so
+	// processing an event allocates no closure; it routes children of cur,
+	// the event being processed.
+	emit workload.Emit
+	cur  *tuple.Event
+
 	// initialized gates data processing for stateful tasks: a respawned
 	// executor buffers data until its INIT restores the committed state.
 	initialized bool
@@ -172,6 +178,7 @@ func newExecutor(eng *Engine, inst topology.Instance, initialized bool) *Executo
 		ex.rep = eng.collector.Reporter()
 	}
 	ex.pauseWake = sync.NewCond(&ex.pauseMu)
+	ex.emit = func(value any, key uint64) { eng.routeData(inst, ex.cur, value, key) }
 	return ex
 }
 
@@ -288,9 +295,9 @@ func (ex *Executor) process(ev *tuple.Event) {
 	}
 	ex.busyUntil = ex.busyUntil.Add(ex.eng.cfg.TaskLatency)
 	timex.SleepUntil(ex.eng.clock, ex.busyUntil)
-	ex.logic.Process(ev, func(value any, key uint64) {
-		ex.eng.routeData(ex.inst, ev, value, key)
-	})
+	ex.cur = ev
+	ex.logic.Process(ev, ex.emit)
+	ex.cur = nil
 	if ex.eng.cfg.AckDataEvents() {
 		ex.eng.ack.Ack(ev.Root, ev.ID)
 	}

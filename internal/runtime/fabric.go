@@ -40,15 +40,17 @@ type slotInstFn func(inst topology.Instance) cluster.SlotRef
 // keyed by (deliverAt, enqueue seq). Links hash to shards, so the
 // goroutine count is O(shards) regardless of topology size.
 //
-// The unit of work is a per-link micro-batch, not a single event. Send
-// stages events into a per-link vector and flushes it into the scheduler
-// when it reaches batchSize or when batchDelay elapses since the batch's
-// first event (Nagle-style), whichever comes first. A flushed batch
-// costs one heap push, one scheduler pop, and one destination hand-off
-// regardless of how many events it carries — the per-event send path is
-// just an append under the shard lock. A batch of one (batchSize 1) is
-// full as soon as it holds its event, so Send flushes it inline and never
-// arms a Nagle deadline.
+// The unit of work is a per-link micro-batch, not a single event, and
+// batching is ack-clocked (Nagle's self-clocking rule, RFC 896): Send
+// flushes at once when its link has no batch in flight; otherwise it
+// appends to the link's staging vector, which flushes when it reaches
+// batchSize or when the shard hands off the link's last in-flight batch,
+// whichever comes first. An idle link therefore pays no batching delay,
+// and a busy one coalesces exactly the events that arrived during its
+// previous batch's wire time. A flushed batch costs one heap push, one
+// scheduler pop, and one destination hand-off regardless of how many
+// events it carries. A batch of one (batchSize 1) is full as soon as it
+// holds its event, so Send always flushes it inline.
 //
 // The FIFO guarantee holds because (a) all deliveries of a link land on
 // one shard and batches flush in staging order, (b) a link's per-event
@@ -63,10 +65,9 @@ type fabric struct {
 	slotOfInst   slotInstFn
 	deliverBatch deliverBatchFn
 
-	// batchSize is the flush watermark; 1 makes every Send flush its
-	// event inline as a batch of one.
-	batchSize  int
-	batchDelay time.Duration
+	// batchSize is the flush watermark of a link with a batch in flight;
+	// 1 makes every Send flush its event inline as a batch of one.
+	batchSize int
 
 	shards []*fabShard
 	seed   maphash.Seed
@@ -91,9 +92,8 @@ type fabricParams struct {
 	slotOf       slotFn
 	slotOfInst   slotInstFn
 	deliverBatch deliverBatchFn
-	shards       int           // 0 means GOMAXPROCS
-	batchSize    int           // <= 1 means batches of one
-	batchDelay   time.Duration // <= 0 means batches of one
+	shards       int // 0 means GOMAXPROCS
+	batchSize    int // <= 1 means batches of one
 }
 
 type linkKey struct {
@@ -108,8 +108,7 @@ type linkKey struct {
 type fabBatch struct {
 	vec *tuple.Vec
 	ats []time.Time // per-event clamped deliverAt, parallel to vec.Ev
-	to  topology.Instance
-	key linkKey
+	st  *linkStage  // the link the batch travels on
 	// start indexes the first undelivered event: when only a prefix of
 	// the batch is due, the prefix is delivered and the batch is re-keyed
 	// at ats[start] — later batches of the link carry larger seqs and
@@ -127,25 +126,20 @@ func (b *fabBatch) release() {
 	batchPool.Put(b)
 }
 
-// linkStage is the per-link staging buffer batches accumulate in before
-// they are flushed into the scheduler.
+// linkStage is one link's state on its shard, guarded by the shard lock:
+// the staging vector events wait in while an earlier batch of the link is
+// in flight, the count of such batches, and the link's FIFO clamp.
 type linkStage struct {
 	key linkKey
-	to  topology.Instance
 	vec *tuple.Vec // nil when nothing is staged
-	// gen increments every time a fresh batch starts; pending entries
-	// carry the gen they were armed for, so an entry whose stage was
-	// size-flushed (and possibly re-armed) is recognized as stale.
-	gen uint64
-}
-
-// stageRef is a deadline-ordered reference to an armed stage. Deadlines
-// are armed as now+batchDelay with a constant delay, so the pending list
-// is naturally sorted and the consumer only ever inspects its head.
-type stageRef struct {
-	st  *linkStage
-	gen uint64
-	at  time.Time
+	// inFlight counts the link's batches flushed but not yet fully handed
+	// off (in the intake or the heap). A non-empty stage always has one in
+	// flight — Send flushes on an idle link, and the hand-off of the last
+	// in-flight batch flushes the stage — so the stage never needs a timer
+	// and Close drains it by draining the heap.
+	inFlight int
+	// lastAt is the link's last clamped deliverAt, applied at intake drain.
+	lastAt time.Time
 }
 
 // shardBuffer is the per-shard in-flight capacity (staged + scheduled);
@@ -157,26 +151,24 @@ const shardBuffer = 1 << 16
 // of pending batches in deadline order.
 //
 // Senders do not touch the heap: they stage events on their link's stage
-// (O(1) under the lock), flush full batches onto the intake slice, and
-// wake the consumer only when it is actually parked or sleeping past a
-// new deadline — a burst of sends costs one wakeup and one heap push per
+// (O(1) under the lock), flush batches onto the intake slice, and wake
+// the consumer only when it is actually parked or sleeping past a new
+// deadline — a burst of sends costs one wakeup and one heap push per
 // batch instead of one signal and one O(log n) push per event.
 type fabShard struct {
 	mu       sync.Mutex
 	notEmpty *sync.Cond // consumer waits for work
 	notFull  *sync.Cond // senders wait out backpressure
 
-	links   map[linkKey]*linkStage
-	pending []stageRef  // armed stage deadlines, in arming (= deadline) order
-	intake  []*fabBatch // flushed batches, drained wholesale by the consumer
-	h       batchHeap
-	queued  int // events staged + scheduled (backpressure accounting)
+	links  map[linkKey]*linkStage
+	intake []*fabBatch // flushed batches, drained wholesale by the consumer
+	h      batchHeap
+	queued int // events staged + scheduled (backpressure accounting)
 
-	seq     uint64                // monotone flush counter (heap tie-break)
-	lastAt  map[linkKey]time.Time // per-link FIFO clamp, applied at drain
-	sleepTo time.Time             // deadline the consumer sleeps toward (zero: not sleeping)
-	waiting bool                  // consumer is parked on notEmpty
-	wake    chan struct{}         // interrupts the consumer's sleep
+	seq     uint64        // monotone flush counter (heap tie-break)
+	sleepTo time.Time     // deadline the consumer sleeps toward (zero: not sleeping)
+	waiting bool          // consumer is parked on notEmpty
+	wake    chan struct{} // interrupts the consumer's sleep
 	closed  bool
 }
 
@@ -191,10 +183,7 @@ func newFabric(p fabricParams) *fabric {
 	if slotOfInst == nil {
 		slotOfInst = func(inst topology.Instance) cluster.SlotRef { return p.slotOf(inst.String()) }
 	}
-	batchSize := p.batchSize
-	if batchSize < 1 || p.batchDelay <= 0 {
-		batchSize = 1
-	}
+	batchSize := max(p.batchSize, 1)
 	f := &fabric{
 		clock:        p.clock,
 		net:          p.net,
@@ -202,16 +191,14 @@ func newFabric(p fabricParams) *fabric {
 		slotOfInst:   slotOfInst,
 		deliverBatch: p.deliverBatch,
 		batchSize:    batchSize,
-		batchDelay:   p.batchDelay,
 		shards:       make([]*fabShard, shards),
 		seed:         maphash.MakeSeed(),
 		start:        p.clock.Now(),
 	}
 	for i := range f.shards {
 		sh := &fabShard{
-			links:  make(map[linkKey]*linkStage),
-			lastAt: make(map[linkKey]time.Time),
-			wake:   make(chan struct{}, 1),
+			links: make(map[linkKey]*linkStage),
+			wake:  make(chan struct{}, 1),
 		}
 		sh.notEmpty = sync.NewCond(&sh.mu)
 		sh.notFull = sync.NewCond(&sh.mu)
@@ -234,9 +221,10 @@ func (f *fabric) shardOf(key linkKey) *fabShard {
 
 // Send schedules ev for delivery from the sender (an instance key; the
 // coordinator and sources send too) to the destination instance, after
-// the one-way latency between their current slots. The event is staged on
-// its link and the latency is computed when the batch flushes (size
-// watermark or deadline) — the wire frames a batch, then sends it.
+// the one-way latency between their current slots. On an idle link the
+// event flushes at once as a batch; behind an in-flight batch it is staged
+// and flushes with the stage (see fabric). The latency is computed when
+// the batch flushes — the wire frames a batch, then sends it.
 // Sending concurrently with Close is safe: the event is dropped and
 // counted.
 func (f *fabric) Send(fromKey string, to topology.Instance, ev *tuple.Event) {
@@ -254,30 +242,24 @@ func (f *fabric) Send(fromKey string, to topology.Instance, ev *tuple.Event) {
 	}
 	st := sh.links[key]
 	if st == nil {
-		st = &linkStage{key: key, to: to}
+		st = &linkStage{key: key}
 		sh.links[key] = st
 	}
 	if st.vec == nil {
 		st.vec = tuple.GetVec()
-		st.gen++
 	}
 	st.vec.Ev = append(st.vec.Ev, ev)
 	sh.queued++
-	// Wake the consumer if it is parked, or sleeping past the instant it
-	// must now act on: a full batch's first delivery, or a fresh batch's
-	// Nagle deadline. A flushed batch's staged at is pre-clamp, which can
-	// only be earlier than its final deadline, so the sleep interrupt errs
-	// on the safe (spurious wake) side.
-	var at time.Time
-	if len(st.vec.Ev) >= f.batchSize {
-		at = f.flushStage(sh, st).ats[0]
-	} else if len(st.vec.Ev) == 1 {
-		at = f.clock.Now().Add(f.batchDelay)
-		sh.pending = append(sh.pending, stageRef{st: st, gen: st.gen, at: at})
-	} else {
+	if st.inFlight > 0 && len(st.vec.Ev) < f.batchSize {
+		// The hand-off of the link's in-flight batch flushes this stage.
 		sh.mu.Unlock()
 		return
 	}
+	// Wake the consumer if it is parked, or sleeping past the flushed
+	// batch's first delivery. That at is pre-clamp, which can only be
+	// earlier than its final deadline, so the sleep interrupt errs on the
+	// safe (spurious wake) side.
+	at := f.flushStage(sh, st).ats[0]
 	if sh.waiting {
 		sh.notEmpty.Signal()
 	} else if !sh.sleepTo.IsZero() && at.Before(sh.sleepTo) {
@@ -298,17 +280,18 @@ func (f *fabric) Send(fromKey string, to topology.Instance, ev *tuple.Event) {
 func (f *fabric) flushStage(sh *fabShard, st *linkStage) *fabBatch {
 	vec := st.vec
 	st.vec = nil
+	st.inFlight++
 
 	now := f.clock.Now()
 	from := f.slotOf(st.key.from)
-	toSlot := f.slotOfInst(st.to)
+	toSlot := f.slotOfInst(st.key.to)
 	elapsed := now.Sub(f.start)
 	n := uint64(len(vec.Ev))
 	seq := f.sendSeq.Add(n) - n + 1
 
 	b := batchPool.Get().(*fabBatch)
 	b.vec = vec
-	b.to, b.key = st.to, st.key
+	b.st = st
 	b.ats = b.ats[:0]
 	for i := range vec.Ev {
 		lat := f.net.LatencyAt(from, toSlot, seq+uint64(i), elapsed)
@@ -318,42 +301,20 @@ func (f *fabric) flushStage(sh *fabShard, st *linkStage) *fabBatch {
 	return b
 }
 
-// flushDue flushes every armed stage whose deadline has passed (every
-// armed stage when the shard is closed, so staged events still arrive
-// after Close — the drain semantics senders rely on). Callers hold
-// sh.mu. Stale refs — stages already flushed by the size watermark —
-// are recognized by their generation and skipped.
-func (f *fabric) flushDue(sh *fabShard, now time.Time) {
-	for len(sh.pending) > 0 {
-		r := sh.pending[0]
-		if r.st.vec == nil || r.st.gen != r.gen {
-			sh.pending[0] = stageRef{}
-			sh.pending = sh.pending[1:]
-			continue
-		}
-		if !sh.closed && r.at.After(now) {
-			return // deadlines are monotone: nothing further is due
-		}
-		sh.pending[0] = stageRef{}
-		sh.pending = sh.pending[1:]
-		f.flushStage(sh, r.st)
-	}
-}
-
 // drainIntake moves flushed batches into the heap, applying the per-link
 // FIFO clamp per event in flush order (the intake preserves staging
 // order, so the clamp result is identical to clamping each event at its
 // own enqueue). Callers hold sh.mu.
 func (f *fabric) drainIntake(sh *fabShard) {
 	for i, b := range sh.intake {
-		last := sh.lastAt[b.key]
+		last := b.st.lastAt
 		for j := range b.ats {
 			if b.ats[j].Before(last) {
 				b.ats[j] = last
 			}
 			last = b.ats[j]
 		}
-		sh.lastAt[b.key] = last
+		b.st.lastAt = last
 		sh.seq++
 		b.seq = sh.seq
 		b.start = 0
@@ -364,39 +325,16 @@ func (f *fabric) drainIntake(sh *fabShard) {
 	sh.intake = sh.intake[:0]
 }
 
-// nextDeadline reports the earliest instant the consumer must act on:
-// the heap head's deliverAt or the earliest armed stage deadline.
-// Callers hold sh.mu.
-func (sh *fabShard) nextDeadline() (time.Time, bool) {
-	var at time.Time
-	ok := false
-	if len(sh.h) > 0 {
-		at, ok = sh.h[0].at, true
-	}
-	for len(sh.pending) > 0 {
-		r := sh.pending[0]
-		if r.st.vec == nil || r.st.gen != r.gen {
-			sh.pending[0] = stageRef{}
-			sh.pending = sh.pending[1:]
-			continue
-		}
-		if !ok || r.at.Before(at) {
-			at = r.at
-		}
-		ok = true
-		break
-	}
-	return at, ok
-}
-
 // runShard drains one shard in deadline order, delaying each batch to
 // its head deadline with sub-oversleep precision (per-hop latencies are
 // a millisecond of paper time, far below the OS timer's oversleep under
 // a compressed clock). Only the due prefix of a batch is delivered; the
 // remainder is re-keyed at its next deadline, so per-event delivery
 // instants are exactly what a batch-of-one fabric would have produced for
-// the same (deliverAt, clamp) sequence. After Close it keeps draining —
-// including staged, unflushed batches — until everything is delivered.
+// the same (deliverAt, clamp) sequence. Handing off a link's last
+// in-flight batch flushes the link's stage in the same critical section,
+// so staged events ride directly behind it. After Close it keeps draining
+// until everything — staged events included — is delivered.
 func (f *fabric) runShard(sh *fabShard) {
 	defer f.wg.Done()
 	for {
@@ -405,25 +343,24 @@ func (f *fabric) runShard(sh *fabShard) {
 		var now time.Time
 		for {
 			now = f.clock.Now()
-			f.flushDue(sh, now)
 			f.drainIntake(sh)
 			if len(sh.h) > 0 && !sh.h[0].at.After(now) {
 				b = sh.h[0]
 				break
 			}
-			if sh.closed && len(sh.h) == 0 && len(sh.intake) == 0 {
-				sh.mu.Unlock()
-				return // closed and drained (flushDue flushed every stage)
-			}
-			next, ok := sh.nextDeadline()
-			if !ok {
+			if len(sh.h) == 0 {
+				if sh.closed {
+					sh.mu.Unlock()
+					return // closed and drained: a non-empty stage has a batch in the heap
+				}
 				sh.waiting = true
 				sh.notEmpty.Wait()
 				sh.waiting = false
 				continue
 			}
 			// Sleep toward the earliest deadline, interruptible by a
-			// newly staged or flushed earlier one.
+			// newly flushed earlier one.
+			next := sh.h[0].at
 			sh.sleepTo = next
 			sh.mu.Unlock()
 			timex.WaitUntil(f.clock, next, sh.wake)
@@ -440,6 +377,10 @@ func (f *fabric) runShard(sh *fabShard) {
 		done := k == len(evs)
 		if done {
 			heap.Pop(&sh.h)
+			b.st.inFlight--
+			if b.st.inFlight == 0 && b.st.vec != nil {
+				f.flushStage(sh, b.st)
+			}
 		} else {
 			b.start = k
 			b.at = b.ats[k]
@@ -448,7 +389,7 @@ func (f *fabric) runShard(sh *fabShard) {
 		sh.queued -= len(due)
 		sh.notFull.Broadcast()
 		sh.mu.Unlock()
-		f.handOff(b.to, due)
+		f.handOff(b.st.key.to, due)
 		if done {
 			b.release()
 		}

@@ -15,12 +15,14 @@ import (
 	"repro/internal/tuple"
 )
 
-// collectingDeliver records deliveries per destination, optionally
-// rejecting some instances.
+// collectingDeliver records deliveries per destination, and the IDs of
+// every accepted hand-off in hand-off order, optionally rejecting some
+// instances.
 type collectingDeliver struct {
-	mu     sync.Mutex
-	got    map[topology.Instance][]*tuple.Event
-	reject map[topology.Instance]bool
+	mu      sync.Mutex
+	got     map[topology.Instance][]*tuple.Event
+	batches [][]tuple.ID
+	reject  map[topology.Instance]bool
 }
 
 func newCollectingDeliver() *collectingDeliver {
@@ -37,7 +39,18 @@ func (c *collectingDeliver) deliverBatch(to topology.Instance, evs []*tuple.Even
 		return evs
 	}
 	c.got[to] = append(c.got[to], evs...)
+	ids := make([]tuple.ID, len(evs))
+	for i, ev := range evs {
+		ids[i] = ev.ID
+	}
+	c.batches = append(c.batches, ids)
 	return nil
+}
+
+func (c *collectingDeliver) handOffs() [][]tuple.ID {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([][]tuple.ID(nil), c.batches...)
 }
 
 func (c *collectingDeliver) events(to topology.Instance) []*tuple.Event {
@@ -48,14 +61,10 @@ func (c *collectingDeliver) events(to topology.Instance) []*tuple.Event {
 	return out
 }
 
-// testFabric builds a fabric with small batches (size 4, 1 ms Nagle
-// deadline) so the general-purpose tests exercise the batched staging,
-// flush, and drain paths; testFabricBatch pins explicit settings.
+// testFabric builds a fabric with small batches (size 4) so the
+// general-purpose tests exercise the batched staging, flush, and drain
+// paths.
 func testFabric(col *collectingDeliver) (*fabric, *timex.ScaledClock) {
-	return testFabricBatch(col, 4, time.Millisecond)
-}
-
-func testFabricBatch(col *collectingDeliver, batchSize int, batchDelay time.Duration) (*fabric, *timex.ScaledClock) {
 	clock := timex.NewScaled(1)
 	slots := func(key string) cluster.SlotRef {
 		// Everyone on one VM except "far" senders.
@@ -71,7 +80,7 @@ func testFabricBatch(col *collectingDeliver, batchSize int, batchDelay time.Dura
 	}
 	f := newFabric(fabricParams{
 		clock: clock, net: net, slotOf: slots, deliverBatch: col.deliverBatch,
-		batchSize: batchSize, batchDelay: batchDelay,
+		batchSize: 4,
 	})
 	return f, clock
 }
@@ -200,7 +209,7 @@ func TestFabricFIFOStress(t *testing.T) {
 	net := cluster.NetworkModel{SameSlot: 0, IntraVM: time.Millisecond, InterVM: 5 * time.Millisecond}
 	f := newFabric(fabricParams{
 		clock: clock, net: net, slotOf: slots, deliverBatch: col.deliverBatch, shards: 4,
-		batchSize: 4, batchDelay: time.Millisecond,
+		batchSize: 4,
 	})
 	defer f.Close()
 
@@ -266,7 +275,7 @@ func TestFabricFIFOStressUnderJitter(t *testing.T) {
 	}
 	f := newFabric(fabricParams{
 		clock: clock, net: net, slotOf: slots, deliverBatch: col.deliverBatch, shards: 4,
-		batchSize: 4, batchDelay: time.Millisecond,
+		batchSize: 4,
 	})
 	defer f.Close()
 
@@ -325,11 +334,11 @@ func TestFabricPartitionStallsDelivery(t *testing.T) {
 		SameSlot: 0, IntraVM: time.Millisecond, InterVM: 2 * time.Millisecond,
 		Partitions: []cluster.Partition{{From: 0, Until: 60 * time.Millisecond}},
 	}
-	// Full-size batches: the lone event rides the Nagle deadline flush,
-	// and its partition stall is computed at flush time.
+	// Full-size batches: the lone event flushes at send time on its idle
+	// link, and its partition stall is computed at flush time.
 	f := newFabric(fabricParams{
 		clock: clock, net: net, slotOf: slots, deliverBatch: col.deliverBatch, shards: 2,
-		batchSize: 64, batchDelay: time.Millisecond,
+		batchSize: 64,
 	})
 	defer f.Close()
 	to := topology.Instance{Task: "T", Index: 0}
@@ -407,7 +416,7 @@ func TestFabricGoroutineCountIsOShards(t *testing.T) {
 	const shards = 8
 	f := newFabric(fabricParams{
 		clock: clock, net: net, slotOf: slots, deliverBatch: col.deliverBatch, shards: shards,
-		batchSize: 64, batchDelay: time.Millisecond,
+		batchSize: 64,
 	})
 	const links = 4096 // 64 senders x 64 destinations
 	for s := 0; s < 64; s++ {
@@ -428,19 +437,19 @@ func TestFabricGoroutineCountIsOShards(t *testing.T) {
 
 // BenchmarkFabricThroughput measures delivery throughput across many
 // concurrent links with zero modeled latency (pure scheduler overhead)
-// at the default batch settings (size 64, 1 ms Nagle deadline).
+// at the default batch cap (64).
 func BenchmarkFabricThroughput(b *testing.B) {
-	benchFabricThroughput(b, 64, time.Millisecond)
+	benchFabricThroughput(b, 64)
 }
 
 // BenchmarkFabricThroughputUnbatched is the same run with batches of one
 // (BatchMaxSize=1), each flushed inline at send time; the gap against
 // BenchmarkFabricThroughput is the amortization win.
 func BenchmarkFabricThroughputUnbatched(b *testing.B) {
-	benchFabricThroughput(b, 1, 0)
+	benchFabricThroughput(b, 1)
 }
 
-func benchFabricThroughput(b *testing.B, batchSize int, batchDelay time.Duration) {
+func benchFabricThroughput(b *testing.B, batchSize int) {
 	var delivered atomic.Uint64
 	clock := timex.NewScaled(1)
 	slots := func(key string) cluster.SlotRef { return cluster.SlotRef{VM: "vm-0", Slot: 0} }
@@ -451,7 +460,7 @@ func benchFabricThroughput(b *testing.B, batchSize int, batchDelay time.Duration
 			delivered.Add(uint64(len(evs)))
 			return nil
 		},
-		batchSize: batchSize, batchDelay: batchDelay,
+		batchSize: batchSize,
 	})
 	defer f.Close()
 	ev := &tuple.Event{ID: 1, Kind: tuple.Data}
@@ -491,7 +500,7 @@ func BenchmarkFabricThroughputLatency(b *testing.B) {
 			delivered.Add(uint64(len(evs)))
 			return nil
 		},
-		batchSize: 64, batchDelay: time.Millisecond,
+		batchSize: 64,
 	})
 	defer f.Close()
 	ev := &tuple.Event{ID: 1, Kind: tuple.Data}
@@ -521,7 +530,7 @@ type fabricScriptResult struct {
 // VM) × 5 destinations × each events per link, under deterministic
 // seeded jitter. Senders run concurrently; per-link send order is fixed
 // by construction, so two runs are comparable link by link.
-func runFabricScript(t *testing.T, batchSize int, batchDelay time.Duration, jitterSeed uint64, each int) fabricScriptResult {
+func runFabricScript(t *testing.T, batchSize int, jitterSeed uint64, each int) fabricScriptResult {
 	t.Helper()
 	col := newCollectingDeliver()
 	clock := timex.NewScaled(1)
@@ -537,7 +546,7 @@ func runFabricScript(t *testing.T, batchSize int, batchDelay time.Duration, jitt
 	}
 	f := newFabric(fabricParams{
 		clock: clock, net: net, slotOf: slots, deliverBatch: col.deliverBatch, shards: 4,
-		batchSize: batchSize, batchDelay: batchDelay,
+		batchSize: batchSize,
 	})
 	const senders = 6
 	const dests = 5
@@ -577,51 +586,141 @@ func runFabricScript(t *testing.T, batchSize int, batchDelay time.Duration, jitt
 // TestFabricBatchingEquivalence is the batching correctness property:
 // for a fixed send script on a fixed seed, a batched fabric must deliver
 // byte-identical per-link sequences and identical totals to the
-// batch-of-one (BatchMaxSize=1) fabric — across batch sizes, Nagle
-// deadlines, and jitter seeds. Batching may only change WHEN a delivery
-// happens (by at most the flush deadline), never WHAT arrives or in
-// which per-link order.
+// batch-of-one (BatchMaxSize=1) fabric — across batch sizes and jitter
+// seeds. Batching may only change WHEN a delivery happens, never WHAT
+// arrives or in which per-link order.
 func TestFabricBatchingEquivalence(t *testing.T) {
 	const each = 40
 	for _, seed := range []uint64{1, 42} {
-		base := runFabricScript(t, 1, 0, seed, each)
+		base := runFabricScript(t, 1, seed, each)
 		if base.dropped != 0 {
 			t.Fatalf("seed %d: unbatched run dropped %d", seed, base.dropped)
 		}
-		for _, cfg := range []struct {
-			size  int
-			delay time.Duration
-		}{
-			{2, time.Millisecond},
-			{7, 500 * time.Microsecond},
-			{64, time.Millisecond},
-			{64, 5 * time.Millisecond},
-		} {
-			got := runFabricScript(t, cfg.size, cfg.delay, seed, each)
+		for _, size := range []int{2, 7, 64} {
+			got := runFabricScript(t, size, seed, each)
 			if got.dropped != 0 {
-				t.Errorf("seed %d batch %d/%v: dropped %d", seed, cfg.size, cfg.delay, got.dropped)
+				t.Errorf("seed %d batch %d: dropped %d", seed, size, got.dropped)
 			}
 			if got.delivered != base.delivered {
-				t.Errorf("seed %d batch %d/%v: delivered %d, want %d",
-					seed, cfg.size, cfg.delay, got.delivered, base.delivered)
+				t.Errorf("seed %d batch %d: delivered %d, want %d",
+					seed, size, got.delivered, base.delivered)
 			}
 			if len(got.perLink) != len(base.perLink) {
-				t.Errorf("seed %d batch %d/%v: %d links, want %d",
-					seed, cfg.size, cfg.delay, len(got.perLink), len(base.perLink))
+				t.Errorf("seed %d batch %d: %d links, want %d",
+					seed, size, len(got.perLink), len(base.perLink))
 			}
 			for link, want := range base.perLink {
 				have := got.perLink[link]
 				if len(have) != len(want) {
-					t.Fatalf("seed %d batch %d/%v: link %s delivered %d, want %d",
-						seed, cfg.size, cfg.delay, link, len(have), len(want))
+					t.Fatalf("seed %d batch %d: link %s delivered %d, want %d",
+						seed, size, link, len(have), len(want))
 				}
 				for i := range want {
 					if have[i] != want[i] {
-						t.Fatalf("seed %d batch %d/%v: link %s delivery %d is ID %d, want %d",
-							seed, cfg.size, cfg.delay, link, i, have[i], want[i])
+						t.Fatalf("seed %d batch %d: link %s delivery %d is ID %d, want %d",
+							seed, size, link, i, have[i], want[i])
 					}
 				}
 			}
 		}
+	}
+}
+
+// waitHandOffs polls (in wall time) until col holds n hand-offs.
+func waitHandOffs(t *testing.T, col *collectingDeliver, n int) [][]tuple.ID {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got := col.handOffs()
+		if len(got) >= n {
+			return got
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("got %d hand-offs %v, want %d", len(got), got, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// manualFabric builds a one-shard fabric on a manual clock with a fixed
+// one-way latency and the default batch cap.
+func manualFabric(col *collectingDeliver, latency time.Duration) (*fabric, *timex.ManualClock) {
+	clock := timex.NewManual()
+	f := newFabric(fabricParams{
+		clock:        clock,
+		net:          cluster.NetworkModel{SameSlot: latency, IntraVM: latency, InterVM: latency},
+		slotOf:       func(string) cluster.SlotRef { return cluster.SlotRef{VM: "vm-0"} },
+		deliverBatch: col.deliverBatch,
+		shards:       1,
+		batchSize:    64,
+	})
+	return f, clock
+}
+
+// TestFabricIdleLinkFlushesAtSend: a send on a link with nothing in flight
+// leaves at once. The clock never moves, so a flush deadline would never
+// come due; the lone event must still be delivered.
+func TestFabricIdleLinkFlushesAtSend(t *testing.T) {
+	col := newCollectingDeliver()
+	f, _ := manualFabric(col, 0)
+	defer f.Close()
+	f.Send("src[0]", topology.Instance{Task: "T", Index: 0}, &tuple.Event{ID: 1, Kind: tuple.Data})
+	if got := waitHandOffs(t, col, 1); len(got[0]) != 1 || got[0][0] != 1 {
+		t.Fatalf("hand-offs %v, want [[1]]", got)
+	}
+}
+
+// TestFabricStagesBehindInFlightBatch pins the ack clock: events sent
+// while a link's batch is on the wire stage behind it, flush as one batch
+// when it is handed off, and arrive in order; Close delivers a stage that
+// still sits behind an in-flight batch.
+func TestFabricStagesBehindInFlightBatch(t *testing.T) {
+	col := newCollectingDeliver()
+	f, clock := manualFabric(col, time.Millisecond)
+	to := topology.Instance{Task: "T", Index: 0}
+	send := func(id tuple.ID) { f.Send("src[0]", to, &tuple.Event{ID: id, Kind: tuple.Data}) }
+
+	send(1) // idle link: in flight at once
+	for id := tuple.ID(2); id <= 4; id++ {
+		send(id) // staged behind e1
+	}
+	if got := col.handOffs(); len(got) != 0 {
+		t.Fatalf("delivered %v before any latency elapsed", got)
+	}
+	clock.Advance(time.Millisecond)
+	if got := waitHandOffs(t, col, 1); len(got) != 1 || len(got[0]) != 1 || got[0][0] != 1 {
+		t.Fatalf("after one hop: hand-offs %v, want [[1]]", got)
+	}
+	clock.Advance(time.Millisecond)
+	got := waitHandOffs(t, col, 2)
+	if len(got) != 2 || fmt.Sprint(got[1]) != "[2 3 4]" {
+		t.Fatalf("after two hops: hand-offs %v, want [[1] [2 3 4]]", got)
+	}
+
+	// Link idle again: e5 goes in flight, e6 stages behind it. Close must
+	// deliver both, in order, as the clock moves on.
+	send(5)
+	send(6)
+	closed := make(chan struct{})
+	go func() {
+		f.Close()
+		close(closed)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for done := false; !done; {
+		select {
+		case <-closed:
+			done = true
+		default:
+			if time.Now().After(deadline) {
+				t.Fatalf("Close did not drain: hand-offs %v", col.handOffs())
+			}
+			clock.Advance(time.Millisecond)
+			time.Sleep(time.Millisecond)
+		}
+	}
+	got = col.handOffs()
+	if len(got) != 4 || fmt.Sprint(got[2:]) != "[[5] [6]]" {
+		t.Fatalf("after Close: hand-offs %v, want [[1] [2 3 4] [5] [6]]", got)
 	}
 }

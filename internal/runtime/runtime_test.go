@@ -385,6 +385,48 @@ func TestCCRCapturesAndResumesInFlight(t *testing.T) {
 	}
 }
 
+// TestZeroDelayRebalanceSpawnsBeforeReturn: with every worker start delay
+// zero, Rebalance returns with the migrated workers already running, so
+// the INIT the enactment sends next reaches live executors on its first
+// round instead of being rejected by starting ones and resent.
+func TestZeroDelayRebalanceSpawnsBeforeReturn(t *testing.T) {
+	cfg := testConfig(ModeCCR)
+	cfg.RebalanceCmdTime = 0
+	cfg.WorkerBaseDelay = 0
+	cfg.WorkerStagger = 0
+	cfg.WorkerJitter = 0
+	cfg.InitResend = time.Second
+	h := newHarnessCfg(t, linear3(), cfg)
+	h.eng.Start()
+	defer h.eng.Stop()
+
+	waitUntil(t, 10*time.Second, "flow", func() bool {
+		return h.eng.Audit().SinkArrivals() >= 20
+	})
+	running := h.eng.RunningExecutors()
+	h.eng.OnMigrationRequested()
+	h.eng.PauseSources()
+	if err := h.eng.Coordinator().Checkpoint(checkpoint.Broadcast, 2*time.Second); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if migrated := h.eng.Rebalance(h.newSchedule(t)); len(migrated) != 3 {
+		t.Fatalf("migrated %d instances, want 3", len(migrated))
+	}
+	if n := h.eng.PendingRespawns(); n != 0 {
+		t.Fatalf("PendingRespawns = %d after a zero-delay Rebalance, want 0", n)
+	}
+	if n := h.eng.RunningExecutors(); n != running {
+		t.Fatalf("RunningExecutors = %d after a zero-delay Rebalance, want %d", n, running)
+	}
+	if err := h.eng.Coordinator().RunWave(tuple.Init, checkpoint.Broadcast, cfg.InitResend, 5*time.Second); err != nil {
+		t.Fatalf("init wave: %v", err)
+	}
+	if r := h.eng.Coordinator().Stats().Resends; r != 0 {
+		t.Fatalf("INIT resends = %d, want 0", r)
+	}
+	h.eng.UnpauseSources()
+}
+
 func TestEngineOnRealBenchmarkDAG(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-instance DAG run")
