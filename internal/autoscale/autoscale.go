@@ -114,7 +114,9 @@ func Observe(eng *runtime.Engine, fleet Fleet, window time.Duration) Snapshot {
 	// its mutex before summarizing — an observation is a consistent
 	// cross-reporter snapshot, and the periodic tick keeps each merge
 	// small. Recording goroutines are never blocked behind this read.
-	w := eng.Collector().Window(window)
+	// The window ends where the sources' input record is final, so a
+	// source running late on a busy host does not read as a rate dip.
+	w := eng.Collector().WindowEnding(eng.SourcesSettled(), window)
 
 	depths := eng.QueueDepths()
 	maxQ, totalQ := 0, 0

@@ -125,11 +125,15 @@ func (c *Collector) Reporter() *Reporter {
 	return &Reporter{c: c, sh: c.shards[i%uint64(len(c.shards))]}
 }
 
-// SourceEmit records one source emission; replayed marks re-emissions
-// triggered by ack timeouts.
-func (r *Reporter) SourceEmit(replayed bool) {
-	now := r.c.clock.Now()
-	b := r.c.bin(now)
+// SourceEmit records one source emission now; replayed marks
+// re-emissions triggered by ack timeouts.
+func (r *Reporter) SourceEmit(replayed bool) { r.SourceEmitAt(r.c.clock.Now(), replayed) }
+
+// SourceEmitAt records one source emission in the bin of paper instant
+// at: a source's paced emission instant, which its emitter may record a
+// little after the fact.
+func (r *Reporter) SourceEmitAt(at time.Time, replayed bool) {
+	b := r.c.bin(at)
 	sh := r.sh
 	sh.mu.Lock()
 	sh.cell(b).in++

@@ -28,6 +28,14 @@ const recentHorizon = 10 * time.Minute
 // excluded so rates are not biased low. d is rounded up to whole bins; a
 // zero or sub-bin d covers one bin.
 func (c *Collector) Window(d time.Duration) WindowStats {
+	return c.WindowEnding(c.clock.Now(), d)
+}
+
+// WindowEnding is Window over the d of execution before end (clamped to
+// now): the bin holding end is the partial one excluded. Observers pass
+// the instant their inputs are final up to, so emissions still being
+// recorded do not read as a dip.
+func (c *Collector) WindowEnding(end time.Time, d time.Duration) WindowStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.mergeLocked()
@@ -35,7 +43,10 @@ func (c *Collector) Window(d time.Duration) WindowStats {
 	if bins < 1 {
 		bins = 1
 	}
-	cur := c.bin(c.clock.Now())
+	if now := c.clock.Now(); end.After(now) {
+		end = now
+	}
+	cur := c.bin(end)
 	lo := cur - bins // window is [lo, cur), i.e. the last `bins` full bins
 	if lo < 0 {
 		lo = 0

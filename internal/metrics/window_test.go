@@ -106,3 +106,35 @@ func TestRecentLatencyPruning(t *testing.T) {
 		t.Errorf("retained %d latency bins, want 1 after pruning", retained)
 	}
 }
+
+// TestWindowEndingCountsLateStampedEmissions: an emission recorded after
+// the fact lands in the bin of its stamp, and a window ending at an
+// observer's settled instant leaves out the bin that instant falls in —
+// the one still being recorded — while an end past now clamps to now.
+func TestWindowEndingCountsLateStampedEmissions(t *testing.T) {
+	clock := timex.NewManual()
+	c := NewCollector(clock)
+	rep := c.Reporter()
+	start := clock.Now()
+	clock.Advance(5*time.Second + 500*time.Millisecond)
+
+	// Recorded now, stamped back in time: b+1 emissions in bin b.
+	for b := 0; b < 5; b++ {
+		for i := 0; i <= b; i++ {
+			rep.SourceEmitAt(start.Add(time.Duration(b)*time.Second+time.Duration(i)*100*time.Millisecond), false)
+		}
+	}
+
+	// Settled at 4.2 s: bins 1-3 hold 2+3+4 emissions.
+	if w := c.WindowEnding(start.Add(4200*time.Millisecond), 3*time.Second); w.InputRate != 3 {
+		t.Errorf("window ending at 4.2s: input rate %.2f, want 3", w.InputRate)
+	}
+	// Window trails now (5.5 s): bins 2-4 hold 3+4+5.
+	now := c.Window(3 * time.Second)
+	if now.InputRate != 4 {
+		t.Errorf("window ending now: input rate %.2f, want 4", now.InputRate)
+	}
+	if w := c.WindowEnding(start.Add(time.Hour), 3*time.Second); w != now {
+		t.Errorf("window ending past now = %+v, want the window ending now %+v", w, now)
+	}
+}

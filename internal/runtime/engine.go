@@ -461,6 +461,23 @@ func (e *Engine) MarkDrainEnd() {
 
 func (e *Engine) migrationRequested() bool { return e.migrationGen.Load() > 0 }
 
+// SourcesSettled reports the paper instant, at most now, before which
+// every source's input-rate record is final (see Source.settled): a
+// window ending there reads no dip from emissions a late-running source
+// has yet to record.
+func (e *Engine) SourcesSettled() time.Time {
+	now := e.clock.Now()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	t := now
+	for _, s := range e.sources {
+		if at := s.settled(now); at.Before(t) {
+			t = at
+		}
+	}
+	return t
+}
+
 // PauseSources stops all sources from emitting (their generators keep
 // accumulating backlog).
 func (e *Engine) PauseSources() {

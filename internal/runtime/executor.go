@@ -105,7 +105,14 @@ type Executor struct {
 	// free: service time is charged as a deadline so the effective
 	// processing rate stays exact under a compressed clock (relative
 	// sleeps would inflate the 100 ms task latency by the OS timer's
-	// oversleep and silently lower the task's capacity).
+	// oversleep and silently lower the task's capacity). An event's
+	// service starts at max(busyUntil, its DeliverAt), not at the instant
+	// the goroutine got to it: under a compressed clock a few wall
+	// milliseconds of host scheduling lag are seconds of paper time, and
+	// charging them as service would shrink the task's capacity below its
+	// input rate on a busy host. Work that was held back (buffered before
+	// INIT, captured under CCR) and checkpoint handling restart the core
+	// at the current instant instead — see occupyUntilNow.
 	busyUntil time.Time
 }
 
@@ -169,6 +176,9 @@ func newExecutor(eng *Engine, inst topology.Instance, initialized bool) *Executo
 		aligned:     make(map[alignKey]int),
 		forwarded:   make(map[alignKey]bool),
 		expectAlign: eng.expectAlign[inst.Task],
+		// A worker cannot serve events delivered before it existed
+		// (those its spawn buffer held while it was starting).
+		busyUntil: eng.clock.Now(),
 	}
 	if !task.Stateful {
 		ex.initialized = true
@@ -228,6 +238,7 @@ func (ex *Executor) run() {
 			}
 			if ev.Kind.IsCheckpoint() {
 				ex.handleCheckpoint(ev)
+				ex.occupyUntilNow()
 				continue
 			}
 			ex.handleData(ev)
@@ -289,9 +300,12 @@ func (ex *Executor) handleData(ev *tuple.Event) {
 // executor is its final owner (the children routed downstream are fresh
 // pooled events of their own).
 func (ex *Executor) process(ev *tuple.Event) {
-	now := ex.eng.clock.Now()
-	if ex.busyUntil.Before(now) {
-		ex.busyUntil = now
+	start := ex.eng.clock.Now()
+	if !ev.DeliverAt.IsZero() && ev.DeliverAt.Before(start) {
+		start = ev.DeliverAt
+	}
+	if ex.busyUntil.Before(start) {
+		ex.busyUntil = start
 	}
 	ex.busyUntil = ex.busyUntil.Add(ex.eng.cfg.TaskLatency)
 	timex.SleepUntil(ex.eng.clock, ex.busyUntil)
@@ -302,6 +316,16 @@ func (ex *Executor) process(ev *tuple.Event) {
 		ex.eng.ack.Ack(ev.Root, ev.ID)
 	}
 	ev.Release()
+}
+
+// occupyUntilNow marks the core busy up to now. Held-back work (buffered
+// before INIT, captured under CCR) cannot have started before its
+// release, whatever its DeliverAt says, and checkpoint handling — store
+// reads and writes included — occupied the core until it returned.
+func (ex *Executor) occupyUntilNow() {
+	if now := ex.eng.clock.Now(); ex.busyUntil.Before(now) {
+		ex.busyUntil = now
+	}
 }
 
 func (ex *Executor) handleCheckpoint(ev *tuple.Event) {
@@ -350,6 +374,7 @@ func (ex *Executor) handleCheckpoint(ev *tuple.Event) {
 		ex.preparedWave = 0
 		if ex.capture {
 			ex.capture = false
+			ex.occupyUntilNow()
 			pend := ex.pending
 			ex.pending = nil
 			for _, p := range pend {
@@ -477,6 +502,7 @@ func (ex *Executor) handleInit(ev *tuple.Event) {
 
 	// CCR: resume the captured in-flight events (ack first, then replay,
 	// per §3.2), then drain anything buffered while uninitialized.
+	ex.occupyUntilNow()
 	for _, s := range restored {
 		ex.process(s.restore(ex.inst.Task, ex.inst.Index))
 	}

@@ -331,7 +331,10 @@ func (f *fabric) drainIntake(sh *fabShard) {
 // a compressed clock). Only the due prefix of a batch is delivered; the
 // remainder is re-keyed at its next deadline, so per-event delivery
 // instants are exactly what a batch-of-one fabric would have produced for
-// the same (deliverAt, clamp) sequence. Handing off a link's last
+// the same (deliverAt, clamp) sequence; each handed-off event carries its
+// deliverAt in Event.DeliverAt, so a late hand-off (this goroutine or the
+// executor's descheduled) is not charged as service time downstream.
+// Handing off a link's last
 // in-flight batch flushes the link's stage in the same critical section,
 // so staged events ride directly behind it. After Close it keeps draining
 // until everything — staged events included — is delivered.
@@ -371,6 +374,7 @@ func (f *fabric) runShard(sh *fabShard) {
 		evs := b.vec.Ev
 		k := b.start
 		for k < len(evs) && !b.ats[k].After(now) {
+			evs[k].DeliverAt = b.ats[k]
 			k++
 		}
 		due := evs[b.start:k]

@@ -28,22 +28,39 @@ type Source struct {
 
 	mu      sync.Mutex
 	wake    *sync.Cond
-	backlog []workload.Payload
-	replays []replayItem
+	backlog []emitItem
+	replays []emitItem
 	paused  bool
 	stopped bool
 	seq     int64
+
+	// Input-rate stamping (see emitLoop). genNext is the generator's next
+	// deadline; free the earliest stamp the next emission can take;
+	// resumed the last Unpause. inHand marks an item popped but not yet
+	// recorded, stamped inHandAt unless a flow-control hold (holding)
+	// moves it on.
+	genNext  time.Time
+	free     time.Time
+	resumed  time.Time
+	inHand   bool
+	inHandAt time.Time
+	holding  bool
 
 	cacheMu sync.Mutex
 	cache   map[tuple.ID]*tuple.Event
 }
 
-// replayItem is a failed payload awaiting re-emission through the emit
-// loop (Storm replays failed tuples via the spout's nextTuple path, paced
-// like any other emission — not as an instantaneous burst from the
-// acker's timer).
-type replayItem struct {
-	payload      workload.Payload
+// emitItem is a payload awaiting emission through the emit loop: a fresh
+// one from the generator, or a failed one awaiting re-emission (Storm
+// replays failed tuples via the spout's nextTuple path, paced like any
+// other emission — not as an instantaneous burst from the acker's timer).
+type emitItem struct {
+	payload workload.Payload
+	// ready is the paper instant the item became emittable: its
+	// generation deadline, or the acker's timeout verdict for a replay.
+	ready time.Time
+	// The replayed tree's original root: emission instant, migration
+	// epoch and generation (unused for fresh payloads).
 	rootEmit     time.Time
 	preMigration bool
 	gen          uint64
@@ -68,10 +85,12 @@ func (s *Source) start() {
 // iteration, so SetSourceRate ramps take effect within one emission.
 func (s *Source) generate() {
 	defer s.eng.wg.Done()
-	next := s.eng.clock.Now()
+	interval := func() time.Duration { return time.Duration(float64(time.Second) / s.eng.SourceRate()) }
+	s.mu.Lock()
+	next := s.eng.clock.Now().Add(interval())
+	s.genNext = next
+	s.mu.Unlock()
 	for {
-		interval := time.Duration(float64(time.Second) / s.eng.SourceRate())
-		next = next.Add(interval)
 		timex.SleepUntil(s.eng.clock, next)
 		s.mu.Lock()
 		if s.stopped {
@@ -79,7 +98,9 @@ func (s *Source) generate() {
 			return
 		}
 		s.seq++
-		s.backlog = append(s.backlog, workload.Payload{Seq: s.seq, Body: "obs"})
+		s.backlog = append(s.backlog, emitItem{payload: workload.Payload{Seq: s.seq, Body: "obs"}, ready: next})
+		next = next.Add(interval())
+		s.genNext = next
 		s.wake.Signal()
 		s.mu.Unlock()
 	}
@@ -88,12 +109,23 @@ func (s *Source) generate() {
 // emitLoop drains the backlog into the dataflow. When a backlog has built
 // up behind a pause, it is drained at SourceBurstRate — the bounded input
 // spike visible in the paper's Fig. 7b/c timelines.
+//
+// The input-rate timeline records each emission at its paced paper
+// instant — max(ready, free, resumed), with free advanced by the burst
+// gap while backlogged — not at the instant this goroutine ran. Under a
+// compressed clock a few wall milliseconds of host scheduling lag are
+// seconds of paper time; recorded at the wall instant, a late-running
+// source would show the autoscaler a fake dip and burst in its input
+// rate. Only a pause or a flow-control hold moves the stamps on, as the
+// paper's spout would stall. Root emit instants (latency) and the audit
+// keep the wall instant.
 func (s *Source) emitLoop() {
 	defer s.eng.wg.Done()
 	burstGap := time.Duration(float64(time.Second) / s.eng.cfg.SourceBurstRate)
 	var nextBurst time.Time
 	for {
 		s.mu.Lock()
+		s.inHand = false
 		for (len(s.backlog) == 0 && len(s.replays) == 0 || s.paused) && !s.stopped {
 			s.wake.Wait()
 		}
@@ -103,23 +135,31 @@ func (s *Source) emitLoop() {
 		}
 		// Failed trees re-emit ahead of new payloads, as a reliable spout
 		// drains its fail backlog first.
-		var rep replayItem
+		var it emitItem
 		isReplay := len(s.replays) > 0
 		if isReplay {
-			rep = s.replays[0]
+			it = s.replays[0]
 			s.replays = s.replays[1:]
 		} else {
-			rep = replayItem{payload: s.backlog[0]}
+			it = s.backlog[0]
 			s.backlog = s.backlog[1:]
 		}
 		backlogged := len(s.backlog) > 0 || len(s.replays) > 0
+		at := later(it.ready, later(s.free, s.resumed))
+		s.inHand, s.inHandAt = true, at
+		s.free = at
+		if backlogged {
+			s.free = at.Add(burstGap)
+		}
 		s.mu.Unlock()
 
 		if isReplay {
-			s.emitRoot(rep.payload, true, rep.rootEmit, rep.preMigration, rep.gen)
+			s.emitRoot(it.payload, true, at, it.rootEmit, it.preMigration, it.gen)
 		} else {
-			s.waitForPendingSlot() // flow control applies to new roots only
-			s.emitRoot(rep.payload, false, s.eng.clock.Now(), !s.eng.migrationRequested(), s.eng.MigrationGen())
+			if s.waitForPendingSlot() { // flow control applies to new roots only
+				at = s.afterHold(at)
+			}
+			s.emitRoot(it.payload, false, at, s.eng.clock.Now(), !s.eng.migrationRequested(), s.eng.MigrationGen())
 		}
 		if backlogged {
 			// Deadline-paced burst drain at SourceBurstRate.
@@ -135,31 +175,62 @@ func (s *Source) emitLoop() {
 	}
 }
 
+// later returns the later of two instants.
+func later(a, b time.Time) time.Time {
+	if a.Before(b) {
+		return b
+	}
+	return a
+}
+
+// afterHold restamps the in-hand emission, stamped at, once a
+// flow-control hold ends: it leaves no earlier than now, and the stamps
+// behind it move on by as much.
+func (s *Source) afterHold(at time.Time) time.Time {
+	now := s.eng.clock.Now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.holding = false
+	if at.Before(now) {
+		s.free = s.free.Add(now.Sub(at))
+		at = now
+	}
+	s.inHandAt = at
+	return at
+}
+
 // waitForPendingSlot applies max-spout-pending flow control: with acking
 // on, new roots are held back while too many trees are unacked, so an
 // outage cannot snowball into a replay storm. Replays are exempt — they
-// re-emit trees that are already pending.
-func (s *Source) waitForPendingSlot() {
+// re-emit trees that are already pending. It reports whether it held the
+// root back; while it does, the source's record counts as settled up to
+// the present (see settled).
+func (s *Source) waitForPendingSlot() bool {
 	cap := s.eng.cfg.MaxSpoutPending
 	if cap <= 0 || !s.eng.cfg.AckDataEvents() {
-		return
+		return false
 	}
+	held := false
 	for s.PendingCached() >= cap {
 		s.mu.Lock()
 		stopped := s.stopped
+		s.holding = !stopped
 		s.mu.Unlock()
 		if stopped {
-			return
+			return held
 		}
+		held = true
 		s.eng.clock.Sleep(250 * time.Millisecond)
 	}
+	return held
 }
 
 // emitRoot emits one payload as a fresh causal root and routes it to the
-// first task layer. The key is a pure function of the payload sequence
+// first task layer, recording it in the input-rate timeline at paper
+// instant at. The key is a pure function of the payload sequence
 // number (the default hash, or Config.KeySelector) so a replayed payload
 // re-derives the same routing key.
-func (s *Source) emitRoot(p workload.Payload, replayed bool, rootEmit time.Time, preMigration bool, gen uint64) {
+func (s *Source) emitRoot(p workload.Payload, replayed bool, at, rootEmit time.Time, preMigration bool, gen uint64) {
 	id := s.eng.idgen.Next()
 	key := hash64(uint64(p.Seq))
 	if sel := s.eng.cfg.KeySelector; sel != nil {
@@ -184,7 +255,7 @@ func (s *Source) emitRoot(p workload.Payload, replayed bool, rootEmit time.Time,
 		s.cacheMu.Unlock()
 		s.eng.ack.Register(id, s.onOutcome)
 	}
-	s.rep.SourceEmit(replayed)
+	s.rep.SourceEmitAt(at, replayed)
 	s.eng.audit.RecordEmit(p.Seq, gen, s.eng.clock.Now())
 	s.eng.routeFromSource(s.inst, ev)
 	if s.eng.cfg.AckDataEvents() {
@@ -215,7 +286,7 @@ func (s *Source) onOutcome(root tuple.ID, outcome acker.Outcome) {
 	if s.stopped {
 		return
 	}
-	s.replays = append(s.replays, replayItem{payload: p, rootEmit: orig.RootEmit, preMigration: orig.PreMigration, gen: orig.Gen})
+	s.replays = append(s.replays, emitItem{payload: p, ready: s.eng.clock.Now(), rootEmit: orig.RootEmit, preMigration: orig.PreMigration, gen: orig.Gen})
 	s.wake.Signal()
 }
 
@@ -231,7 +302,38 @@ func (s *Source) Unpause() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.paused = false
+	s.resumed = s.eng.clock.Now()
 	s.wake.Broadcast()
+}
+
+// settled reports the paper instant before which this source's
+// input-rate record is final: no emission still to be recorded is
+// stamped earlier. A paused source, and one holding a root back for
+// flow control, has nothing to record before now.
+func (s *Source) settled(now time.Time) time.Time {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.holding {
+		return now // everything left to record waits out the hold
+	}
+	// Paused, stopped or not yet started: nothing queued is stamped
+	// before now.
+	t := now
+	if !s.paused && !s.stopped && !s.genNext.IsZero() {
+		floor := later(s.free, s.resumed)
+		t = later(s.genNext, floor)
+		for _, q := range [][]emitItem{s.backlog, s.replays} {
+			if len(q) > 0 {
+				if head := later(q[0].ready, floor); head.Before(t) {
+					t = head
+				}
+			}
+		}
+	}
+	if s.inHand && s.inHandAt.Before(t) {
+		t = s.inHandAt
+	}
+	return t
 }
 
 // PendingCached reports roots still cached (in flight or awaiting verdict).

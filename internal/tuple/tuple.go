@@ -101,6 +101,11 @@ type Event struct {
 	// — PreMigration alone collapses back-to-back migrations into one
 	// epoch. Replays keep the original root's generation.
 	Gen uint64
+	// DeliverAt is the paper-time instant the fabric scheduled this
+	// event's delivery at its current hop (zero for events that did not
+	// arrive over the fabric). The executor starts service no earlier than
+	// this instant, not at the later one its goroutine happened to run at.
+	DeliverAt time.Time
 
 	// pooled marks events drawn from the event pool; Release returns only
 	// those, so releasing a heap-allocated event is always a safe no-op.
