@@ -83,8 +83,12 @@ func Matrix(seed int64) []Cell {
 // rebalance's own respawn or the supervisor may heal the victim — the
 // audit, not the incident count, is the assertion there. DSM cells stay
 // on chains (replay physics, see the package doc); DCR/CCR cells crash
-// only at quiesced phases where the JIT checkpoint has already
-// persisted everything the INIT restore needs.
+// after the JIT checkpoint has persisted the victim's state. That does
+// not make them lossless: in the CCR@rebalance-end/dag-skew+unplanned
+// cell every migrating inner is down, so the victim falls back to
+// Sink[0], which nothing restarts. Until the supervisor notices, the
+// data INIT resumes is delivered to the dead sink and dropped (ROADMAP
+// item 2a).
 func SupervisedMatrix(seed int64) []Cell {
 	s := func(i int64) int64 { return seed + i*113 }
 	return []Cell{

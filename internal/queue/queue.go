@@ -37,8 +37,10 @@ type Queue struct {
 }
 
 // minCap is the smallest non-zero ring capacity; shrinking stops here so
-// steady trickles of events do not thrash allocations.
-const minCap = 16
+// steady trickles of events do not thrash allocations. It holds one full
+// delivered batch (the fabric's default of 64 events), so a flow that
+// arrives a batch at a time never regrows the ring.
+const minCap = 64
 
 // New returns an empty open queue.
 func New() *Queue {

@@ -72,12 +72,14 @@ type Engine struct {
 	started       bool
 	stopped       bool
 
-	// Static routing tables, built once. keys holds every instance's
-	// String(): the send path looks its sender key up, never formats it.
-	keys          map[topology.Instance]string
-	shuffle       map[edgeKey]*atomic.Uint64
+	// Static routing, compiled once in New (see sender): plan holds every
+	// task instance's outgoing routes; the coordinator sends over
+	// broadcast (every stateful instance) and firstLayer (the instances
+	// the sources feed).
+	plan          map[topology.Instance]*sender
+	broadcast     []*linkStage
+	firstLayer    []*linkStage
 	expectAlign   map[string]int
-	firstLayer    []topology.Instance
 	statefulInsts []topology.Instance
 
 	// migrationGen counts migration requests: 0 before the first, g after
@@ -133,8 +135,6 @@ func (e *Engine) notePhase(p MigrationPhase) {
 	}
 }
 
-type edgeKey struct{ from, to string }
-
 // coordinatorKey is the placement key of the checkpoint coordinator.
 const coordinatorKey = checkpoint.CoordinatorTask + "[0]"
 
@@ -161,8 +161,6 @@ func New(p Params) (*Engine, error) {
 		heartbeats:    make(map[topology.Instance]*atomic.Int64),
 		respawnTimers: make(map[uint64]timex.Timer),
 		innerSchedule: p.InnerSchedule,
-		keys:          make(map[topology.Instance]string),
-		shuffle:       make(map[edgeKey]*atomic.Uint64),
 		expectAlign:   make(map[string]int),
 	}
 	e.srcRate.Store(math.Float64bits(p.Config.SourceRate))
@@ -182,15 +180,7 @@ func New(p Params) (*Engine, error) {
 		e.placementInst[inst] = ref
 	}
 
-	// Routing tables.
-	for _, inst := range e.topo.Instances() {
-		e.keys[inst] = inst.String()
-	}
-	for _, name := range e.topo.TaskNames() {
-		for _, edge := range e.topo.Outgoing(name) {
-			e.shuffle[edgeKey{edge.From, edge.To}] = &atomic.Uint64{}
-		}
-	}
+	var firstLayer []topology.Instance
 	for _, task := range e.topo.Inner() {
 		expect := 0
 		hasSourceIn := false
@@ -207,7 +197,7 @@ func New(p Params) (*Engine, error) {
 		}
 		e.expectAlign[task.Name] = expect
 		if hasSourceIn {
-			e.firstLayer = append(e.firstLayer, instancesOf(task)...)
+			firstLayer = append(firstLayer, instancesOf(task)...)
 		}
 		if task.Stateful {
 			e.statefulInsts = append(e.statefulInsts, instancesOf(task)...)
@@ -231,7 +221,76 @@ func New(p Params) (*Engine, error) {
 		shards:       p.Config.FabricShards,
 		batchSize:    p.Config.BatchMaxSize,
 	})
+	e.compileRoutes(firstLayer)
 	return e, nil
+}
+
+// sender is one sending instance's routing plan, compiled once: the
+// send path walks it and never consults the topology, formats a key or
+// looks a link up.
+type sender struct {
+	inst   topology.Instance
+	routes []route // one per outgoing edge, in Outgoing order
+}
+
+// route is one outgoing edge of a sender.
+type route struct {
+	grouping topology.Grouping
+	// shuffle is the edge's round-robin counter, shared by every instance
+	// of the sending task.
+	shuffle *atomic.Uint64
+	// links holds one fabric link per target instance, indexed by the
+	// instance's index; len(links) is the target parallelism.
+	links []*linkStage
+	// toInner marks an inner target: checkpoint waves travel only there
+	// (sinks do not take part in the protocol).
+	toInner bool
+}
+
+// pick selects the link to the target instance for a data event with
+// the given key, per the edge's grouping.
+func (r *route) pick(key uint64) *linkStage {
+	switch r.grouping {
+	case topology.Fields:
+		return r.links[hash64(key)%uint64(len(r.links))]
+	case topology.Global:
+		return r.links[0]
+	default:
+		// Shuffle. All-grouping is handled by callers that need it
+		// (checkpoint forwarding); for data it round-robins like shuffle
+		// to keep the one-target contract.
+		return r.links[(r.shuffle.Add(1)-1)%uint64(len(r.links))]
+	}
+}
+
+// compileRoutes builds every instance's sender plan and the
+// coordinator's links. It runs once, after the fabric exists.
+func (e *Engine) compileRoutes(firstLayer []topology.Instance) {
+	e.plan = make(map[topology.Instance]*sender)
+	for _, name := range e.topo.TaskNames() {
+		task := e.topo.Task(name)
+		edges := e.topo.Outgoing(name)
+		shuffle := make([]atomic.Uint64, len(edges))
+		for _, inst := range instancesOf(task) {
+			from := inst.String()
+			s := &sender{inst: inst, routes: make([]route, len(edges))}
+			for i, edge := range edges {
+				to := e.topo.Task(edge.To)
+				r := route{grouping: edge.Grouping, shuffle: &shuffle[i], toInner: to.Role == topology.RoleInner}
+				for _, target := range instancesOf(to) {
+					r.links = append(r.links, e.fab.link(from, target))
+				}
+				s.routes[i] = r
+			}
+			e.plan[inst] = s
+		}
+	}
+	for _, inst := range e.statefulInsts {
+		e.broadcast = append(e.broadcast, e.fab.link(coordinatorKey, inst))
+	}
+	for _, inst := range firstLayer {
+		e.firstLayer = append(e.firstLayer, e.fab.link(coordinatorKey, inst))
+	}
 }
 
 // ackTimeoutFor disables data-event timeouts when acking is off: the acker
@@ -422,17 +481,6 @@ func (e *Engine) Executor(inst topology.Instance) *Executor {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.executors[inst]
-}
-
-// SourcePendingCached sums roots cached across sources (awaiting acks).
-func (e *Engine) SourcePendingCached() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	n := 0
-	for _, s := range e.sources {
-		n += s.PendingCached()
-	}
-	return n
 }
 
 // --- migration operations ------------------------------------------------
@@ -814,69 +862,48 @@ func (e *Engine) deliverBatch(to topology.Instance, evs []*tuple.Event) (rejecte
 }
 
 // routeData fans a processed event's output out along every outgoing
-// edge, creating one anchored child per target instance.
-func (e *Engine) routeData(from topology.Instance, parent *tuple.Event, value any, key uint64) {
-	for _, edge := range e.topo.Outgoing(from.Task) {
-		target := e.pickTarget(edge, key)
-		child := parent.Child(e.idgen.Next(), from.Task, from.Index, value)
+// edge of the sender, creating one anchored child per edge.
+func (e *Engine) routeData(from *sender, parent *tuple.Event, value any, key uint64) {
+	for i := range from.routes {
+		st := from.routes[i].pick(key)
+		child := parent.Child(e.idgen.Next(), from.inst.Task, from.inst.Index, value)
 		child.Key = key
 		if e.cfg.AckDataEvents() && parent.Root != 0 {
 			e.ack.Anchor(parent.Root, child.ID)
 		}
-		e.fab.Send(e.keys[from], target, child)
+		e.fab.Send(st, child)
 	}
 }
 
 // routeFromSource routes a fresh root event to the first task layer,
-// anchoring one child per edge target.
-func (e *Engine) routeFromSource(from topology.Instance, root *tuple.Event) {
-	for _, edge := range e.topo.Outgoing(from.Task) {
-		target := e.pickTarget(edge, root.Key)
-		child := root.Child(e.idgen.Next(), from.Task, from.Index, root.Value)
+// anchoring one child per edge. Children copy every root field they
+// read, so the caller may release the root once this returns.
+func (e *Engine) routeFromSource(from *sender, root *tuple.Event) {
+	for i := range from.routes {
+		st := from.routes[i].pick(root.Key)
+		child := root.Child(e.idgen.Next(), from.inst.Task, from.inst.Index, root.Value)
 		if e.cfg.AckDataEvents() {
 			e.ack.Anchor(root.Root, child.ID)
 		}
-		e.fab.Send(e.keys[from], target, child)
+		e.fab.Send(st, child)
 	}
-}
-
-// pickTarget selects the destination instance on an edge per its
-// grouping.
-func (e *Engine) pickTarget(edge topology.Edge, key uint64) topology.Instance {
-	par := e.topo.Task(edge.To).Parallelism
-	var idx int
-	switch edge.Grouping {
-	case topology.Fields:
-		idx = int(hash64(key) % uint64(par))
-	case topology.Global:
-		idx = 0
-	case topology.All:
-		// All-grouping is handled by callers that need it (checkpoint
-		// forwarding); for data we treat it as shuffle to keep the
-		// one-target contract.
-		fallthrough
-	default: // Shuffle
-		ctr := e.shuffle[edgeKey{edge.From, edge.To}]
-		idx = int((ctr.Add(1) - 1) % uint64(par))
-	}
-	return topology.Instance{Task: edge.To, Index: idx}
 }
 
 // forwardCheckpoint sends a sequential checkpoint event from an instance
-// to every instance of every downstream inner task (sinks do not
-// participate in the protocol).
-func (e *Engine) forwardCheckpoint(from topology.Instance, ev *tuple.Event) {
-	for _, edge := range e.topo.Outgoing(from.Task) {
-		to := e.topo.Task(edge.To)
-		if to.Role != topology.RoleInner {
+// to every instance of every downstream inner task, over the same links
+// as its data.
+func (e *Engine) forwardCheckpoint(from *sender, ev *tuple.Event) {
+	for i := range from.routes {
+		r := &from.routes[i]
+		if !r.toInner {
 			continue
 		}
-		for i := 0; i < to.Parallelism; i++ {
+		for _, st := range r.links {
 			cp := ev.Clone()
 			cp.ID = e.idgen.Next()
-			cp.SrcTask = from.Task
-			cp.SrcInstance = from.Index
-			e.fab.Send(e.keys[from], topology.Instance{Task: edge.To, Index: i}, cp)
+			cp.SrcTask = from.inst.Task
+			cp.SrcInstance = from.inst.Index
+			e.fab.Send(st, cp)
 		}
 	}
 }
@@ -892,10 +919,10 @@ var _ checkpoint.Transport = (*engineTransport)(nil)
 // straight to every stateful instance (CCR's wiring).
 func (t *engineTransport) SendBroadcast(ev *tuple.Event) {
 	e := (*Engine)(t)
-	for _, inst := range e.statefulInsts {
+	for _, st := range e.broadcast {
 		cp := ev.Clone()
 		cp.ID = e.idgen.Next()
-		e.fab.Send(coordinatorKey, inst, cp)
+		e.fab.Send(st, cp)
 	}
 }
 
@@ -903,10 +930,10 @@ func (t *engineTransport) SendBroadcast(ev *tuple.Event) {
 // layer fed by the sources, from which the wave sweeps the dataflow.
 func (t *engineTransport) SendFirstLayer(ev *tuple.Event) {
 	e := (*Engine)(t)
-	for _, inst := range e.firstLayer {
+	for _, st := range e.firstLayer {
 		cp := ev.Clone()
 		cp.ID = e.idgen.Next()
-		e.fab.Send(coordinatorKey, inst, cp)
+		e.fab.Send(st, cp)
 	}
 }
 

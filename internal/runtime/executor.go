@@ -25,6 +25,7 @@ type Executor struct {
 	eng   *Engine
 	inst  topology.Instance
 	task  *topology.Task
+	plan  *sender // the instance's compiled outgoing routes
 	in    *queue.Queue
 	logic workload.Logic
 	store *statestore.Client
@@ -168,6 +169,7 @@ func newExecutor(eng *Engine, inst topology.Instance, initialized bool) *Executo
 		eng:         eng,
 		inst:        inst,
 		task:        task,
+		plan:        eng.plan[inst],
 		in:          queue.New(),
 		logic:       eng.factory(inst.Task, inst.Index),
 		store:       statestore.NewClient(eng.store, eng.clock, eng.cfg.StoreLatency),
@@ -188,7 +190,7 @@ func newExecutor(eng *Engine, inst topology.Instance, initialized bool) *Executo
 		ex.rep = eng.collector.Reporter()
 	}
 	ex.pauseWake = sync.NewCond(&ex.pauseMu)
-	ex.emit = func(value any, key uint64) { eng.routeData(inst, ex.cur, value, key) }
+	ex.emit = func(value any, key uint64) { eng.routeData(ex.plan, ex.cur, value, key) }
 	return ex
 }
 
@@ -516,7 +518,7 @@ func (ex *Executor) handleInit(ev *tuple.Event) {
 // forward sends a sequential checkpoint event to every instance of every
 // downstream inner task.
 func (ex *Executor) forward(ev *tuple.Event) {
-	ex.eng.forwardCheckpoint(ex.inst, ev)
+	ex.eng.forwardCheckpoint(ex.plan, ev)
 }
 
 // forwardOnce forwards at most once per wave round.

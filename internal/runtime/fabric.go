@@ -128,9 +128,12 @@ func (b *fabBatch) release() {
 
 // linkStage is one link's state on its shard, guarded by the shard lock:
 // the staging vector events wait in while an earlier batch of the link is
-// in flight, the count of such batches, and the link's FIFO clamp.
+// in flight, the count of such batches, and the link's FIFO clamp. It is
+// also the link's handle: link creates it once, and Send takes it, so the
+// send path resolves neither the shard nor the link.
 type linkStage struct {
 	key linkKey
+	sh  *fabShard  // the shard every delivery of the link goes through
 	vec *tuple.Vec // nil when nothing is staged
 	// inFlight counts the link's batches flushed but not yet fully handed
 	// off (in the intake or the heap). A non-empty stage always has one in
@@ -160,6 +163,7 @@ type fabShard struct {
 	notEmpty *sync.Cond // consumer waits for work
 	notFull  *sync.Cond // senders wait out backpressure
 
+	// links is read only by link, which keeps one stage per pair.
 	links  map[linkKey]*linkStage
 	intake []*fabBatch // flushed batches, drained wholesale by the consumer
 	h      batchHeap
@@ -209,27 +213,37 @@ func newFabric(p fabricParams) *fabric {
 	return f
 }
 
-// shardOf hashes a link to its owning shard. All deliveries of one link
-// go through one shard; that plus the monotone deadline clamp is what
-// makes per-link FIFO hold.
-func (f *fabric) shardOf(key linkKey) *fabShard {
+// link returns the handle of the link from the sender key to the
+// destination, creating its stage on the owning shard the first time.
+// Every route between one (sender, destination) pair gets the same stage,
+// data and checkpoint alike: per-link FIFO holds only within one stage,
+// and a COMMIT on a stage of its own could overtake the data sent before
+// it and break the sequential rearguard.
+func (f *fabric) link(fromKey string, to topology.Instance) *linkStage {
+	key := linkKey{from: fromKey, to: to}
 	h := maphash.String(f.seed, key.from)
 	h ^= maphash.String(f.seed, key.to.Task)
 	h = tuple.Mix64(h ^ uint64(key.to.Index))
-	return f.shards[h%uint64(len(f.shards))]
+	sh := f.shards[h%uint64(len(f.shards))]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	st := sh.links[key]
+	if st == nil {
+		st = &linkStage{key: key, sh: sh}
+		sh.links[key] = st
+	}
+	return st
 }
 
-// Send schedules ev for delivery from the sender (an instance key; the
-// coordinator and sources send too) to the destination instance, after
-// the one-way latency between their current slots. On an idle link the
-// event flushes at once as a batch; behind an in-flight batch it is staged
-// and flushes with the stage (see fabric). The latency is computed when
-// the batch flushes — the wire frames a batch, then sends it.
+// Send schedules ev for delivery over the link st (see link), after the
+// one-way latency between its endpoints' current slots. On an idle link
+// the event flushes at once as a batch; behind an in-flight batch it is
+// staged and flushes with the stage (see fabric). The latency is computed
+// when the batch flushes — the wire frames a batch, then sends it.
 // Sending concurrently with Close is safe: the event is dropped and
 // counted.
-func (f *fabric) Send(fromKey string, to topology.Instance, ev *tuple.Event) {
-	key := linkKey{from: fromKey, to: to}
-	sh := f.shardOf(key)
+func (f *fabric) Send(st *linkStage, ev *tuple.Event) {
+	sh := st.sh
 	sh.mu.Lock()
 	for sh.queued >= shardBuffer && !sh.closed {
 		sh.notFull.Wait()
@@ -239,11 +253,6 @@ func (f *fabric) Send(fromKey string, to topology.Instance, ev *tuple.Event) {
 		f.dropped.Add(1)
 		ev.Release() // dropped before hand-off: this was the last owner
 		return
-	}
-	st := sh.links[key]
-	if st == nil {
-		st = &linkStage{key: key}
-		sh.links[key] = st
 	}
 	if st.vec == nil {
 		st.vec = tuple.GetVec()

@@ -92,7 +92,7 @@ func TestFabricDeliversInFIFOOrder(t *testing.T) {
 	to := topology.Instance{Task: "T", Index: 0}
 	const n = 200
 	for i := 1; i <= n; i++ {
-		f.Send("src[0]", to, &tuple.Event{ID: tuple.ID(i), Kind: tuple.Data})
+		f.Send(f.link("src[0]", to), &tuple.Event{ID: tuple.ID(i), Kind: tuple.Data})
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for len(col.events(to)) < n {
@@ -117,7 +117,7 @@ func TestFabricCountsDrops(t *testing.T) {
 	col.reject[down] = true
 	col.mu.Unlock()
 	for i := 0; i < 10; i++ {
-		f.Send("src[0]", down, &tuple.Event{ID: tuple.ID(i + 1), Kind: tuple.Data})
+		f.Send(f.link("src[0]", down), &tuple.Event{ID: tuple.ID(i + 1), Kind: tuple.Data})
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for f.Dropped() < 10 {
@@ -134,7 +134,7 @@ func TestFabricChargesLatency(t *testing.T) {
 	defer f.Close()
 	to := topology.Instance{Task: "T", Index: 0}
 	start := clock.Now()
-	f.Send("far[0]", to, &tuple.Event{ID: 1, Kind: tuple.Data}) // inter-VM: 5ms
+	f.Send(f.link("far[0]", to), &tuple.Event{ID: 1, Kind: tuple.Data}) // inter-VM: 5ms
 	deadline := time.Now().Add(5 * time.Second)
 	for len(col.events(to)) == 0 {
 		if time.Now().After(deadline) {
@@ -151,7 +151,7 @@ func TestFabricSendAfterCloseIsDropped(t *testing.T) {
 	col := newCollectingDeliver()
 	f, _ := testFabric(col)
 	f.Close()
-	f.Send("src[0]", topology.Instance{Task: "T", Index: 0}, &tuple.Event{ID: 1})
+	f.Send(f.link("src[0]", topology.Instance{Task: "T", Index: 0}), &tuple.Event{ID: 1})
 	if f.Dropped() != 1 {
 		t.Fatalf("Dropped = %d after post-close send", f.Dropped())
 	}
@@ -174,7 +174,7 @@ func TestFabricConcurrentSenders(t *testing.T) {
 			defer wg.Done()
 			from := string(rune('a'+s)) + "[0]"
 			for i := 0; i < each; i++ {
-				f.Send(from, to, &tuple.Event{ID: tuple.ID(idc.Add(1)), Kind: tuple.Data})
+				f.Send(f.link(from, to), &tuple.Event{ID: tuple.ID(idc.Add(1)), Kind: tuple.Data})
 			}
 		}()
 	}
@@ -227,7 +227,7 @@ func TestFabricFIFOStress(t *testing.T) {
 				for d := 0; d < dests; d++ {
 					to := topology.Instance{Task: "T", Index: d}
 					// Encode (sender, sequence) in the ID to check per-link order.
-					f.Send(from, to, &tuple.Event{ID: tuple.ID(s*1_000_000 + i), Kind: tuple.Data})
+					f.Send(f.link(from, to), &tuple.Event{ID: tuple.ID(s*1_000_000 + i), Kind: tuple.Data})
 				}
 			}
 		}()
@@ -292,7 +292,7 @@ func TestFabricFIFOStressUnderJitter(t *testing.T) {
 			for i := 1; i <= each; i++ {
 				for d := 0; d < dests; d++ {
 					to := topology.Instance{Task: "T", Index: d}
-					f.Send(from, to, &tuple.Event{ID: tuple.ID(s*1_000_000 + i), Kind: tuple.Data})
+					f.Send(f.link(from, to), &tuple.Event{ID: tuple.ID(s*1_000_000 + i), Kind: tuple.Data})
 				}
 			}
 		}()
@@ -343,7 +343,7 @@ func TestFabricPartitionStallsDelivery(t *testing.T) {
 	defer f.Close()
 	to := topology.Instance{Task: "T", Index: 0}
 	start := clock.Now()
-	f.Send("far[0]", to, &tuple.Event{ID: 1, Kind: tuple.Data})
+	f.Send(f.link("far[0]", to), &tuple.Event{ID: 1, Kind: tuple.Data})
 	deadline := time.Now().Add(5 * time.Second)
 	for len(col.events(to)) == 0 {
 		if time.Now().After(deadline) {
@@ -377,7 +377,7 @@ func TestFabricSendCloseRace(t *testing.T) {
 				from := string(rune('a'+s)) + "[0]"
 				to := topology.Instance{Task: "T", Index: s % 4}
 				for i := 0; i < each; i++ {
-					f.Send(from, to, &tuple.Event{ID: tuple.ID(s*each + i + 1), Kind: tuple.Data})
+					f.Send(f.link(from, to), &tuple.Event{ID: tuple.ID(s*each + i + 1), Kind: tuple.Data})
 				}
 			}()
 		}
@@ -422,7 +422,7 @@ func TestFabricGoroutineCountIsOShards(t *testing.T) {
 	for s := 0; s < 64; s++ {
 		from := fmt.Sprintf("s%d[0]", s)
 		for d := 0; d < 64; d++ {
-			f.Send(from, topology.Instance{Task: "T", Index: d}, &tuple.Event{ID: 1, Kind: tuple.Data})
+			f.Send(f.link(from, topology.Instance{Task: "T", Index: d}), &tuple.Event{ID: 1, Kind: tuple.Data})
 		}
 	}
 	after := runtime.NumGoroutine()
@@ -464,25 +464,26 @@ func benchFabricThroughput(b *testing.B, batchSize int) {
 	})
 	defer f.Close()
 	ev := &tuple.Event{ID: 1, Kind: tuple.Data}
-	froms := benchSenderKeys(16)
+	links := benchLinks(f)
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			f.Send(froms[i%16], topology.Instance{Task: "T", Index: i % 64}, ev)
+			f.Send(links[i%64], ev)
 			i++
 		}
 	})
 	b.StopTimer()
 }
 
-// benchSenderKeys precomputes sender keys so the send benchmarks measure
-// the fabric, not fmt.Sprintf.
-func benchSenderKeys(n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = fmt.Sprintf("s%d[0]", i)
+// benchLinks precomputes the links the send benchmarks use, from 16
+// senders to 64 destinations (destination d from sender d%16), so they
+// measure Send, not link set-up.
+func benchLinks(f *fabric) []*linkStage {
+	out := make([]*linkStage, 64)
+	for d := range out {
+		out[d] = f.link(fmt.Sprintf("s%d[0]", d%16), topology.Instance{Task: "T", Index: d})
 	}
 	return out
 }
@@ -504,13 +505,13 @@ func BenchmarkFabricThroughputLatency(b *testing.B) {
 	})
 	defer f.Close()
 	ev := &tuple.Event{ID: 1, Kind: tuple.Data}
-	froms := benchSenderKeys(16)
+	links := benchLinks(f)
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			f.Send(froms[i%16], topology.Instance{Task: "T", Index: i % 64}, ev)
+			f.Send(links[i%64], ev)
 			i++
 		}
 	})
@@ -563,7 +564,7 @@ func runFabricScript(t *testing.T, batchSize int, jitterSeed uint64, each int) f
 			for i := 1; i <= each; i++ {
 				for d := 0; d < dests; d++ {
 					to := topology.Instance{Task: "T", Index: d}
-					f.Send(from, to, &tuple.Event{ID: tuple.ID(s*1_000_000 + i), Kind: tuple.Data})
+					f.Send(f.link(from, to), &tuple.Event{ID: tuple.ID(s*1_000_000 + i), Kind: tuple.Data})
 				}
 			}
 		}()
@@ -664,7 +665,7 @@ func TestFabricIdleLinkFlushesAtSend(t *testing.T) {
 	col := newCollectingDeliver()
 	f, _ := manualFabric(col, 0)
 	defer f.Close()
-	f.Send("src[0]", topology.Instance{Task: "T", Index: 0}, &tuple.Event{ID: 1, Kind: tuple.Data})
+	f.Send(f.link("src[0]", topology.Instance{Task: "T", Index: 0}), &tuple.Event{ID: 1, Kind: tuple.Data})
 	if got := waitHandOffs(t, col, 1); len(got[0]) != 1 || got[0][0] != 1 {
 		t.Fatalf("hand-offs %v, want [[1]]", got)
 	}
@@ -678,7 +679,7 @@ func TestFabricStagesBehindInFlightBatch(t *testing.T) {
 	col := newCollectingDeliver()
 	f, clock := manualFabric(col, time.Millisecond)
 	to := topology.Instance{Task: "T", Index: 0}
-	send := func(id tuple.ID) { f.Send("src[0]", to, &tuple.Event{ID: id, Kind: tuple.Data}) }
+	send := func(id tuple.ID) { f.Send(f.link("src[0]", to), &tuple.Event{ID: id, Kind: tuple.Data}) }
 
 	send(1) // idle link: in flight at once
 	for id := tuple.ID(2); id <= 4; id++ {

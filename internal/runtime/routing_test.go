@@ -56,19 +56,19 @@ func TestFieldsGroupingRoutesByKey(t *testing.T) {
 
 func TestFieldsGroupingIsDeterministicPerKey(t *testing.T) {
 	// The same key must always pick the same instance: verified through
-	// pickTarget directly.
+	// the compiled route directly.
 	h := newHarness(t, keyedTopo(), ModeDCR)
-	edge := topology.Edge{From: "Src", To: "P", Grouping: topology.Fields}
-	first := h.eng.pickTarget(edge, 12345)
+	r := routeOf(t, h.eng, "Src", "P")
+	first := r.pick(12345).key.to
 	for i := 0; i < 50; i++ {
-		if got := h.eng.pickTarget(edge, 12345); got != first {
+		if got := r.pick(12345).key.to; got != first {
 			t.Fatalf("fields grouping moved key: %v then %v", first, got)
 		}
 	}
 	// Different keys hit more than one instance.
 	seen := map[topology.Instance]bool{}
 	for k := uint64(0); k < 64; k++ {
-		seen[h.eng.pickTarget(edge, k)] = true
+		seen[r.pick(k).key.to] = true
 	}
 	if len(seen) < 2 {
 		t.Fatalf("fields grouping used %d instances for 64 keys", len(seen))
@@ -77,9 +77,9 @@ func TestFieldsGroupingIsDeterministicPerKey(t *testing.T) {
 
 func TestGlobalGroupingUsesInstanceZero(t *testing.T) {
 	h := newHarness(t, keyedTopo(), ModeDCR)
-	edge := topology.Edge{From: "Src", To: "G", Grouping: topology.Global}
+	r := routeOf(t, h.eng, "Src", "G")
 	for k := uint64(0); k < 32; k++ {
-		if got := h.eng.pickTarget(edge, k); got.Index != 0 {
+		if got := r.pick(k).key.to; got.Index != 0 {
 			t.Fatalf("global grouping picked %v", got)
 		}
 	}
@@ -87,13 +87,13 @@ func TestGlobalGroupingUsesInstanceZero(t *testing.T) {
 
 func TestShuffleGroupingRoundRobins(t *testing.T) {
 	h := newHarness(t, keyedTopo(), ModeDCR)
-	edge := topology.Edge{From: "P", To: "Sink", Grouping: topology.Shuffle}
-	_ = edge
-	// Shuffle over a 3-instance task must cycle through all instances.
-	e2 := topology.Edge{From: "Src", To: "P", Grouping: topology.Shuffle}
+	// Shuffle over a 3-instance task must cycle through all instances:
+	// the Src→P route (fields in the topology) regrouped as shuffle.
+	r := *routeOf(t, h.eng, "Src", "P")
+	r.grouping = topology.Shuffle
 	seen := map[int]bool{}
 	for i := 0; i < 6; i++ {
-		seen[h.eng.pickTarget(e2, 0).Index] = true
+		seen[r.pick(0).key.to.Index] = true
 	}
 	if len(seen) != 3 {
 		t.Fatalf("shuffle visited %d of 3 instances", len(seen))

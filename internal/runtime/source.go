@@ -24,15 +24,21 @@ import (
 type Source struct {
 	eng  *Engine
 	inst topology.Instance
+	plan *sender           // the instance's compiled outgoing routes
 	rep  *metrics.Reporter // private recording handle for the emit path
 
-	mu      sync.Mutex
-	wake    *sync.Cond
-	backlog []emitItem
-	replays []emitItem
-	paused  bool
-	stopped bool
-	seq     int64
+	mu   sync.Mutex
+	wake *sync.Cond
+	// backlog[backHead:] are the payloads awaiting emission. The emit loop
+	// advances backHead, and generate slides the live items down before
+	// an append would grow a full array, so the steady state reuses one
+	// backing array.
+	backlog  []emitItem
+	backHead int
+	replays  []emitItem
+	paused   bool
+	stopped  bool
+	seq      int64
 
 	// Input-rate stamping (see emitLoop). genNext is the generator's next
 	// deadline; free the earliest stamp the next emission can take;
@@ -55,7 +61,10 @@ type Source struct {
 // replays failed tuples via the spout's nextTuple path, paced like any
 // other emission — not as an instantaneous burst from the acker's timer).
 type emitItem struct {
-	payload workload.Payload
+	// payload is the workload.Payload, boxed once when the item is made
+	// (the one allocation left per root) and reused by every emission of
+	// it.
+	payload any
 	// ready is the paper instant the item became emittable: its
 	// generation deadline, or the acker's timeout verdict for a replay.
 	ready time.Time
@@ -67,7 +76,7 @@ type emitItem struct {
 }
 
 func newSource(eng *Engine, inst topology.Instance) *Source {
-	s := &Source{eng: eng, inst: inst, rep: eng.collector.Reporter(), cache: make(map[tuple.ID]*tuple.Event)}
+	s := &Source{eng: eng, inst: inst, plan: eng.plan[inst], rep: eng.collector.Reporter(), cache: make(map[tuple.ID]*tuple.Event)}
 	s.wake = sync.NewCond(&s.mu)
 	return s
 }
@@ -98,6 +107,10 @@ func (s *Source) generate() {
 			return
 		}
 		s.seq++
+		if s.backHead > 0 && len(s.backlog) == cap(s.backlog) {
+			n := copy(s.backlog, s.backlog[s.backHead:])
+			s.backlog, s.backHead = s.backlog[:n], 0
+		}
 		s.backlog = append(s.backlog, emitItem{payload: workload.Payload{Seq: s.seq, Body: "obs"}, ready: next})
 		next = next.Add(interval())
 		s.genNext = next
@@ -126,7 +139,7 @@ func (s *Source) emitLoop() {
 	for {
 		s.mu.Lock()
 		s.inHand = false
-		for (len(s.backlog) == 0 && len(s.replays) == 0 || s.paused) && !s.stopped {
+		for (s.backlogLen() == 0 && len(s.replays) == 0 || s.paused) && !s.stopped {
 			s.wake.Wait()
 		}
 		if s.stopped {
@@ -141,10 +154,13 @@ func (s *Source) emitLoop() {
 			it = s.replays[0]
 			s.replays = s.replays[1:]
 		} else {
-			it = s.backlog[0]
-			s.backlog = s.backlog[1:]
+			it = s.backlog[s.backHead]
+			s.backHead++
+			if s.backHead == len(s.backlog) {
+				s.backlog, s.backHead = s.backlog[:0], 0
+			}
 		}
-		backlogged := len(s.backlog) > 0 || len(s.replays) > 0
+		backlogged := s.backlogLen() > 0 || len(s.replays) > 0
 		at := later(it.ready, later(s.free, s.resumed))
 		s.inHand, s.inHandAt = true, at
 		s.free = at
@@ -225,44 +241,46 @@ func (s *Source) waitForPendingSlot() bool {
 	return held
 }
 
-// emitRoot emits one payload as a fresh causal root and routes it to the
-// first task layer, recording it in the input-rate timeline at paper
-// instant at. The key is a pure function of the payload sequence
-// number (the default hash, or Config.KeySelector) so a replayed payload
-// re-derives the same routing key.
-func (s *Source) emitRoot(p workload.Payload, replayed bool, at, rootEmit time.Time, preMigration bool, gen uint64) {
+// emitRoot emits one boxed workload.Payload as a fresh causal root and
+// routes it to the first task layer, recording it in the input-rate
+// timeline at paper instant at. The key is a pure function of the
+// payload sequence number (the default hash, or Config.KeySelector) so a
+// replayed payload re-derives the same routing key.
+func (s *Source) emitRoot(payload any, replayed bool, at, rootEmit time.Time, preMigration bool, gen uint64) {
+	seq := payload.(workload.Payload).Seq
 	id := s.eng.idgen.Next()
-	key := hash64(uint64(p.Seq))
+	key := hash64(uint64(seq))
 	if sel := s.eng.cfg.KeySelector; sel != nil {
-		key = sel(p.Seq)
+		key = sel(seq)
 	}
-	ev := &tuple.Event{
-		ID:           id,
-		Root:         id,
-		Kind:         tuple.Data,
-		SrcTask:      s.inst.Task,
-		SrcInstance:  s.inst.Index,
-		Key:          key,
-		Value:        p,
-		RootEmit:     rootEmit,
-		Replayed:     replayed,
-		PreMigration: preMigration,
-		Gen:          gen,
+	acked := s.eng.cfg.AckDataEvents()
+	var ev *tuple.Event
+	if acked {
+		ev = new(tuple.Event) // the replay cache owns it until the acker's verdict
+	} else {
+		ev = tuple.NewPooledEvent()
 	}
-	if s.eng.cfg.AckDataEvents() {
+	ev.ID, ev.Root, ev.Kind = id, id, tuple.Data
+	ev.SrcTask, ev.SrcInstance = s.inst.Task, s.inst.Index
+	ev.Key, ev.Value = key, payload
+	ev.RootEmit, ev.Replayed, ev.PreMigration, ev.Gen = rootEmit, replayed, preMigration, gen
+	if acked {
 		s.cacheMu.Lock()
 		s.cache[id] = ev
 		s.cacheMu.Unlock()
 		s.eng.ack.Register(id, s.onOutcome)
 	}
 	s.rep.SourceEmitAt(at, replayed)
-	s.eng.audit.RecordEmit(p.Seq, gen, s.eng.clock.Now())
-	s.eng.routeFromSource(s.inst, ev)
-	if s.eng.cfg.AckDataEvents() {
+	s.eng.audit.RecordEmit(seq, gen, s.eng.clock.Now())
+	s.eng.routeFromSource(s.plan, ev)
+	if acked {
 		// The spout's own contribution to the tree: children are anchored
 		// by routeFromSource before this ack, as a task would.
 		s.eng.ack.Ack(id, id)
 	}
+	// The children copied what they read. The cached heap root of an
+	// acked run is not pooled, so Release leaves it to the cache.
+	ev.Release()
 }
 
 // onOutcome handles the acker's verdict on a cached root.
@@ -277,8 +295,7 @@ func (s *Source) onOutcome(root tuple.ID, outcome acker.Outcome) {
 	// Queue the failed payload for re-emission through the emit loop,
 	// keeping the original emission timestamp (complete latency) and
 	// migration epoch.
-	p, okP := orig.Value.(workload.Payload)
-	if !okP {
+	if _, okP := orig.Value.(workload.Payload); !okP {
 		return
 	}
 	s.mu.Lock()
@@ -286,7 +303,7 @@ func (s *Source) onOutcome(root tuple.ID, outcome acker.Outcome) {
 	if s.stopped {
 		return
 	}
-	s.replays = append(s.replays, emitItem{payload: p, ready: s.eng.clock.Now(), rootEmit: orig.RootEmit, preMigration: orig.PreMigration, gen: orig.Gen})
+	s.replays = append(s.replays, emitItem{payload: orig.Value, ready: s.eng.clock.Now(), rootEmit: orig.RootEmit, preMigration: orig.PreMigration, gen: orig.Gen})
 	s.wake.Signal()
 }
 
@@ -322,7 +339,7 @@ func (s *Source) settled(now time.Time) time.Time {
 	if !s.paused && !s.stopped && !s.genNext.IsZero() {
 		floor := later(s.free, s.resumed)
 		t = later(s.genNext, floor)
-		for _, q := range [][]emitItem{s.backlog, s.replays} {
+		for _, q := range [][]emitItem{s.backlog[s.backHead:], s.replays} {
 			if len(q) > 0 {
 				if head := later(q[0].ready, floor); head.Before(t) {
 					t = head
@@ -347,8 +364,11 @@ func (s *Source) PendingCached() int {
 func (s *Source) Backlog() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.backlog)
+	return s.backlogLen()
 }
+
+// backlogLen is Backlog for callers that hold s.mu.
+func (s *Source) backlogLen() int { return len(s.backlog) - s.backHead }
 
 // stop halts both goroutines.
 func (s *Source) stop() {

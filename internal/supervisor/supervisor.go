@@ -20,8 +20,11 @@
 //
 // Recovery. A detected failure starts a per-instance recovery loop:
 // respawn the corpse, then drive a restore wave so the stateful
-// executor re-initializes from the last completed checkpoint; lost
-// in-flight data is replayed by the source's ack-timeout machinery.
+// executor re-initializes from the last completed checkpoint. Under DSM
+// lost in-flight data is replayed by the source's ack-timeout
+// machinery. Under DCR/CCR nothing is acked, so data delivered to the
+// crashed instance before detection is dropped and stays lost (ROADMAP
+// item 2a).
 // A restore attempt that finds the control plane busy (a migration or
 // another recovery holds the token) is not a failure — the in-flight
 // enactment's own INIT wave heals the fresh executor, and the loop just
