@@ -159,8 +159,8 @@ func (u DCRUpdate) Migrate(eng *runtime.Engine, newSched *scheduler.Schedule) er
 	if u.NewFactory == nil {
 		return fmt.Errorf("core: DCR-update requires a NewFactory")
 	}
+	eng.PauseSources() // before the new generation: see drainAndMigrate
 	eng.OnMigrationRequested()
-	eng.PauseSources()
 	coord := eng.Coordinator()
 	cfg := eng.Config()
 
@@ -186,12 +186,14 @@ func (u DCRUpdate) Migrate(eng *runtime.Engine, newSched *scheduler.Schedule) er
 // (PREPARE delivery decides drain vs capture) → rebalance → INIT
 // (aggressively resent) → unpause.
 func drainAndMigrate(eng *runtime.Engine, newSched *scheduler.Schedule, prepare, init checkpoint.Delivery) error {
-	eng.OnMigrationRequested()
 	// Pause the sources: input rate drops to zero and, once the drain or
 	// capture completes, so does the output rate — the sink stays live,
 	// which is what lets CCR produce output again as soon as any
-	// sink-adjacent task restores and replays its captured events.
+	// sink-adjacent task restores and replays its captured events. The
+	// pause comes before the request opens the new generation, so every
+	// root stamped with it is emitted after the unpause, behind the drain.
 	eng.PauseSources()
+	eng.OnMigrationRequested()
 	coord := eng.Coordinator()
 	cfg := eng.Config()
 

@@ -351,12 +351,24 @@ func (j *Job) Wait(ctx context.Context) error {
 // State returns the current lifecycle state.
 func (j *Job) State() State { return State(j.state.Load()) }
 
-// Drain quiesces the dataflow: sources pause, then Drain blocks until
-// every in-flight event has been processed — polled every drainPoll, it
-// returns once drainQuiet of paper time has passed with nothing moving
-// (no sink arrival, no queue backlog, no pending respawn). The drained
-// job keeps its executors and state — Resume continues it, Stop ends it.
-// Canceling ctx aborts the drain and resumes the sources.
+// Drain quiesces the dataflow: the sources pause, then Drain blocks until
+// no data event is live and no respawn is pending. A live event is one
+// that moves without any further control action: a root a source has
+// popped, an event staged or batched in the fabric, buffered for a
+// starting worker, queued at an executor, or in its hand. The engine
+// counts them exactly (runtime.Engine.LiveEvents) and signals the count
+// reaching zero, so Drain polls nothing and returns as soon as the last
+// one has arrived or been discarded.
+//
+// Events parked at an executor — buffered before INIT, captured by CCR —
+// are not live: only a checkpoint wave moves them, and a drain that
+// waited for one could wait forever (a restarted stateful executor whose
+// INIT never comes). Under DSM, a timed-out tree's replay also waits
+// behind the paused source, so Drain does not wait for it either.
+//
+// The drained job keeps its executors and state — Resume continues it,
+// Stop ends it. Canceling ctx aborts the drain and resumes the sources;
+// a Stop meanwhile makes Drain return ErrStopped.
 func (j *Job) Drain(ctx context.Context) error {
 	if err := j.acquire(ctx, "Drain"); err != nil {
 		return err
@@ -370,10 +382,7 @@ func (j *Job) Drain(ctx context.Context) error {
 		return fmt.Errorf("%w: cannot drain from state %s", ErrNotRunning, st)
 	}
 	j.eng.PauseSources()
-
-	lastSink := j.eng.Audit().SinkArrivals()
-	quietSince := j.clock.Now()
-	for j.clock.Since(quietSince) < drainQuiet {
+	for {
 		if err := ctx.Err(); err != nil {
 			j.eng.UnpauseSources()
 			j.state.CompareAndSwap(int32(StateDraining), int32(StateRunning))
@@ -381,20 +390,16 @@ func (j *Job) Drain(ctx context.Context) error {
 			j.release()
 			return err
 		}
-		j.clock.Sleep(drainPoll)
-		if j.State() == StateStopped {
+		if j.eng.Quiescent() {
+			break
+		}
+		select {
+		case <-j.eng.Quiet():
+		case <-ctx.Done():
+		case <-j.done:
 			j.release()
 			return ErrStopped
 		}
-		backlog := 0
-		for _, d := range j.eng.QueueDepths() {
-			backlog += d
-		}
-		sink := j.eng.Audit().SinkArrivals()
-		if backlog != 0 || sink != lastSink || j.eng.PendingRespawns() != 0 {
-			quietSince = j.clock.Now()
-		}
-		lastSink = sink
 	}
 	if !j.state.CompareAndSwap(int32(StateDraining), int32(StateDrained)) {
 		j.release()
@@ -404,13 +409,6 @@ func (j *Job) Drain(ctx context.Context) error {
 	j.release()
 	return nil
 }
-
-// Drain's quiet rule (paper time): return once drainQuiet has passed
-// since the last observed change, checking every drainPoll.
-const (
-	drainQuiet = 2 * time.Second
-	drainPoll  = 10 * time.Millisecond
-)
 
 // Resume unpauses a drained dataflow.
 func (j *Job) Resume() error {

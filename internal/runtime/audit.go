@@ -36,8 +36,8 @@ type Audit struct {
 	// generations holds one boundary record per BeginGeneration call;
 	// generations[g-1] audits the g-th migration.
 	generations []genBoundary
-	// sinkTotal caches the arrival sum so Drain's polling loop does not
-	// rescan sinkCount.
+	// sinkTotal caches the arrival sum so SinkArrivals does not rescan
+	// sinkCount.
 	sinkTotal int
 }
 

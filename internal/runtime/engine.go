@@ -90,6 +90,17 @@ type Engine struct {
 	lostKill     atomic.Int64  // data events dropped by executor kills
 	srcRate      atomic.Uint64 // live per-source rate (math.Float64bits)
 
+	// live counts the data events that move without any further control
+	// action: a root a source has popped, an event staged or batched in
+	// the fabric, buffered for a starting worker, queued, or in an
+	// executor's hand. Every entry and exit is counted where it happens
+	// (enter, exit, discard); events parked at an executor, buffered
+	// before INIT or captured by CCR, are out of the count until the wave
+	// that releases them. quiet receives a token when live falls to zero
+	// or a respawn fires: Quiescent's waiters re-check on it.
+	live  atomic.Int64
+	quiet chan struct{}
+
 	// stopDone is closed once Stop has fully torn the engine down;
 	// concurrent Stop callers wait on it so "Stop returned" always means
 	// "engine stopped", whichever call did the work.
@@ -162,6 +173,7 @@ func New(p Params) (*Engine, error) {
 		respawnTimers: make(map[uint64]timex.Timer),
 		innerSchedule: p.InnerSchedule,
 		expectAlign:   make(map[string]int),
+		quiet:         make(chan struct{}, 1),
 	}
 	e.srcRate.Store(math.Float64bits(p.Config.SourceRate))
 	e.ack = acker.New(p.Clock, ackTimeoutFor(p.Config), p.Config.AckBuckets)
@@ -218,6 +230,7 @@ func New(p Params) (*Engine, error) {
 		slotOf:       e.slotOf,
 		slotOfInst:   e.slotOfInst,
 		deliverBatch: e.deliverBatch,
+		discard:      e.discard,
 		shards:       p.Config.FabricShards,
 		batchSize:    p.Config.BatchMaxSize,
 	})
@@ -476,6 +489,53 @@ func (e *Engine) DroppedDeliveries() uint64 { return e.fab.Dropped() }
 // LostAtKill reports data events discarded from killed executors' queues.
 func (e *Engine) LostAtKill() int64 { return e.lostKill.Load() }
 
+// --- live data events -----------------------------------------------------
+
+// enter counts n data events in. A sender counts its children before the
+// first Send: a child retired before its siblings were counted would let
+// the count touch zero with work still to do.
+func (e *Engine) enter(n int) { e.live.Add(int64(n)) }
+
+// exit counts n data events out: delivered to a sink, processed, parked
+// or discarded.
+func (e *Engine) exit(n int) {
+	if e.live.Add(-int64(n)) == 0 {
+		e.signalQuiet()
+	}
+}
+
+// discard is the one exit of an event nothing will read again — sent
+// over a closed fabric, rejected at hand-off, dropped by a kill or with a
+// retired spawn buffer: it counts a data event out and releases it.
+func (e *Engine) discard(ev *tuple.Event) {
+	if ev.IsData() {
+		e.exit(1)
+	}
+	ev.Release()
+}
+
+func (e *Engine) signalQuiet() {
+	select {
+	case e.quiet <- struct{}{}:
+	default: // a token is already waiting
+	}
+}
+
+// LiveEvents reports the data events that move without any further
+// control action (see Engine.live). Zero with the sources paused means
+// nothing is in flight; negative would mean an event exited twice.
+func (e *Engine) LiveEvents() int64 { return e.live.Load() }
+
+// Quiescent reports whether no data event is live and no respawn is
+// pending.
+func (e *Engine) Quiescent() bool { return e.live.Load() == 0 && e.PendingRespawns() == 0 }
+
+// Quiet returns the channel that receives a token when the live count
+// falls to zero or a respawn fires. A waiter re-checks Quiescent on each
+// token, which may be stale; it must not hold the engine lock meanwhile,
+// since the in-hand events it waits for take it (flushStage).
+func (e *Engine) Quiet() <-chan struct{} { return e.quiet }
+
 // Executor returns the live executor for an instance, or nil.
 func (e *Engine) Executor(inst topology.Instance) *Executor {
 	e.mu.RLock()
@@ -636,7 +696,7 @@ func (e *Engine) Rebalance(newSched *scheduler.Schedule) []topology.Instance {
 				if ev.IsData() {
 					e.lostKill.Add(1)
 				}
-				ev.Release() // retired with the buffer: nothing reads it again
+				e.discard(ev) // retired with the buffer: nothing reads it again
 			}
 			old.events = nil
 			old.mu.Unlock()
@@ -668,10 +728,11 @@ func (e *Engine) respawnFired(id uint64, inst topology.Instance) {
 	delete(e.respawnTimers, id)
 	e.mu.Unlock()
 	e.spawn(inst)
+	e.signalQuiet()
 }
 
 // PendingRespawns reports how many respawn timers have not fired yet
-// (diagnostics and leak tests).
+// (Quiescent, diagnostics and leak tests).
 func (e *Engine) PendingRespawns() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -708,7 +769,7 @@ func (e *Engine) spawn(inst topology.Instance) {
 			buf.mu.Lock()
 			buf.flushed = true
 			for _, ev := range buf.events {
-				ev.Release()
+				e.discard(ev)
 			}
 			buf.events = nil
 			buf.mu.Unlock()
@@ -864,6 +925,7 @@ func (e *Engine) deliverBatch(to topology.Instance, evs []*tuple.Event) (rejecte
 // routeData fans a processed event's output out along every outgoing
 // edge of the sender, creating one anchored child per edge.
 func (e *Engine) routeData(from *sender, parent *tuple.Event, value any, key uint64) {
+	e.enter(len(from.routes))
 	for i := range from.routes {
 		st := from.routes[i].pick(key)
 		child := parent.Child(e.idgen.Next(), from.inst.Task, from.inst.Index, value)
@@ -879,6 +941,7 @@ func (e *Engine) routeData(from *sender, parent *tuple.Event, value any, key uin
 // anchoring one child per edge. Children copy every root field they
 // read, so the caller may release the root once this returns.
 func (e *Engine) routeFromSource(from *sender, root *tuple.Event) {
+	e.enter(len(from.routes))
 	for i := range from.routes {
 		st := from.routes[i].pick(root.Key)
 		child := root.Child(e.idgen.Next(), from.inst.Task, from.inst.Index, root.Value)

@@ -269,7 +269,7 @@ func TestKillDeliverRaceAccountsEveryEvent(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < pushes; i++ {
-				ev := &tuple.Event{ID: h.eng.idgen.Next(), Kind: tuple.Data, SrcTask: "T1"}
+				ev := injected(h.eng, &tuple.Event{ID: h.eng.idgen.Next(), Kind: tuple.Data, SrcTask: "T1"})
 				if len(h.eng.deliverBatch(inst, []*tuple.Event{ev})) == 0 {
 					accepted.Add(1)
 				}
@@ -326,7 +326,7 @@ func TestRebalanceRetiresStaleSpawnBuffer(t *testing.T) {
 
 	// Buffer three data events for the starting worker.
 	for i := 0; i < 3; i++ {
-		ev := &tuple.Event{ID: h.eng.idgen.Next(), Kind: tuple.Data, SrcTask: "T1"}
+		ev := injected(h.eng, &tuple.Event{ID: h.eng.idgen.Next(), Kind: tuple.Data, SrcTask: "T1"})
 		if len(h.eng.deliverBatch(inst, []*tuple.Event{ev})) != 0 {
 			t.Fatal("deliver rejected a bufferable event")
 		}
@@ -354,7 +354,7 @@ func TestDeliverBatchSpawnBuffer(t *testing.T) {
 	data := func(n int) []*tuple.Event {
 		out := make([]*tuple.Event, n)
 		for i := range out {
-			out[i] = &tuple.Event{ID: h.eng.idgen.Next(), Kind: tuple.Data, SrcTask: "T1"}
+			out[i] = injected(h.eng, &tuple.Event{ID: h.eng.idgen.Next(), Kind: tuple.Data, SrcTask: "T1"})
 		}
 		return out
 	}

@@ -39,9 +39,9 @@ type Executor struct {
 
 	// held counts the events the run loop has popped in its current batch
 	// but not yet started handling. QueueLen adds it to the ring depth so
-	// batch-draining the queue does not make backlog observers (drain
-	// detection, QueueDepths diagnostics) see events vanish before they
-	// are processed.
+	// batch-draining the queue does not make backlog observers (Status,
+	// QueueDepths and the autoscale policies that read it) see events
+	// vanish before they are processed.
 	held atomic.Int32
 
 	// pulseStop ends the heartbeat goroutine (see pulse.go); closed once
@@ -200,7 +200,8 @@ func (ex *Executor) run() {
 	// On exit (kill or stop), events still stashed in the platform
 	// buffers are dead: preInit never saw its INIT, and captured pending
 	// events live on only as the savedEvent copies persisted by COMMIT.
-	// Releasing here is race-free — the buffers belong to this goroutine.
+	// Releasing here is race-free — the buffers belong to this goroutine —
+	// and parked events are already out of the live count.
 	defer func() {
 		for _, ev := range ex.preInit {
 			ev.Release()
@@ -235,7 +236,7 @@ func (ex *Executor) run() {
 				if ev.IsData() && !ex.eng.stopping.Load() {
 					ex.eng.lostKill.Add(1)
 				}
-				ev.Release()
+				ex.eng.discard(ev)
 				continue
 			}
 			if ev.Kind.IsCheckpoint() {
@@ -284,14 +285,19 @@ func (ex *Executor) handleData(ev *tuple.Event) {
 			ex.eng.ack.Ack(ev.Root, ev.ID)
 		}
 		ev.Release()
+		ex.eng.exit(1) // arrived, and recorded first
 		return
 	}
+	// Parked events leave the live count: only INIT or ROLLBACK moves
+	// them again, and both count them back in.
 	if !ex.initialized {
 		ex.preInit = append(ex.preInit, ev)
+		ex.eng.exit(1)
 		return
 	}
 	if ex.capture {
 		ex.pending = append(ex.pending, ev)
+		ex.eng.exit(1)
 		return
 	}
 	ex.process(ev)
@@ -300,7 +306,7 @@ func (ex *Executor) handleData(ev *tuple.Event) {
 // process charges the task latency, runs the user logic (emitting
 // downstream), acknowledges the input, and releases the event — the
 // executor is its final owner (the children routed downstream are fresh
-// pooled events of their own).
+// pooled events of their own, already counted live).
 func (ex *Executor) process(ev *tuple.Event) {
 	start := ex.eng.clock.Now()
 	if !ev.DeliverAt.IsZero() && ev.DeliverAt.Before(start) {
@@ -318,6 +324,7 @@ func (ex *Executor) process(ev *tuple.Event) {
 		ex.eng.ack.Ack(ev.Root, ev.ID)
 	}
 	ev.Release()
+	ex.eng.exit(1)
 }
 
 // occupyUntilNow marks the core busy up to now. Held-back work (buffered
@@ -379,6 +386,7 @@ func (ex *Executor) handleCheckpoint(ev *tuple.Event) {
 			ex.occupyUntilNow()
 			pend := ex.pending
 			ex.pending = nil
+			ex.eng.enter(len(pend))
 			for _, p := range pend {
 				ex.process(p)
 			}
@@ -505,11 +513,12 @@ func (ex *Executor) handleInit(ev *tuple.Event) {
 	// CCR: resume the captured in-flight events (ack first, then replay,
 	// per §3.2), then drain anything buffered while uninitialized.
 	ex.occupyUntilNow()
+	buffered := ex.preInit
+	ex.preInit = nil
+	ex.eng.enter(len(restored) + len(buffered))
 	for _, s := range restored {
 		ex.process(s.restore(ex.inst.Task, ex.inst.Index))
 	}
-	buffered := ex.preInit
-	ex.preInit = nil
 	for _, ev := range buffered {
 		ex.handleData(ev)
 	}
@@ -557,7 +566,7 @@ func (ex *Executor) Kill() (droppedData int) {
 		if ev.IsData() {
 			droppedData++
 		}
-		ev.Release() // discarded with the queue: the kill is the final owner
+		ex.eng.discard(ev) // discarded with the queue: the kill is the final owner
 	}
 	return droppedData
 }
@@ -567,7 +576,7 @@ func (ex *Executor) Instance() topology.Instance { return ex.inst }
 
 // QueueLen reports the current input queue depth plus the events the run
 // loop has batch-popped but not yet started handling (diagnostics and
-// drain detection).
+// backpressure policies).
 func (ex *Executor) QueueLen() int { return ex.in.Len() + int(ex.held.Load()) }
 
 // Initialized reports whether the executor has restored (or never

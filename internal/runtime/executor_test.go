@@ -20,10 +20,10 @@ func TestProcessServesFromDeliveryInstant(t *testing.T) {
 	lat := eng.cfg.TaskLatency
 	ex := newExecutor(eng, topology.Instance{Task: "T1"}, true)
 	data := func(seq int64, deliverAt time.Time) *tuple.Event {
-		return &tuple.Event{
+		return injected(eng, &tuple.Event{
 			ID: tuple.ID(seq), Root: tuple.ID(seq), Kind: tuple.Data,
 			Value: workload.Payload{Seq: seq}, DeliverAt: deliverAt,
-		}
+		})
 	}
 
 	delivered := eng.clock.Now()

@@ -18,7 +18,7 @@ import (
 // call (one queue lock, one consumer wakeup) and returns the events that
 // could NOT be delivered — nil on the happy path; a rejected event is lost,
 // as when Storm delivers to a killed worker. The fabric counts and
-// releases the rejects.
+// discards the rejects.
 type deliverBatchFn func(to topology.Instance, evs []*tuple.Event) (rejected []*tuple.Event)
 
 // slotFn resolves an instance key's current slot (placement changes
@@ -64,6 +64,9 @@ type fabric struct {
 	slotOf       slotFn
 	slotOfInst   slotInstFn
 	deliverBatch deliverBatchFn
+	// discard is the last owner's release of an event lost in the fabric
+	// (the engine's discard, which also counts it out of the live count).
+	discard func(*tuple.Event)
 
 	// batchSize is the flush watermark of a link with a batch in flight;
 	// 1 makes every Send flush its event inline as a batch of one.
@@ -92,8 +95,9 @@ type fabricParams struct {
 	slotOf       slotFn
 	slotOfInst   slotInstFn
 	deliverBatch deliverBatchFn
-	shards       int // 0 means GOMAXPROCS
-	batchSize    int // <= 1 means batches of one
+	discard      func(*tuple.Event) // nil means Release
+	shards       int                // 0 means GOMAXPROCS
+	batchSize    int                // <= 1 means batches of one
 }
 
 type linkKey struct {
@@ -187,6 +191,10 @@ func newFabric(p fabricParams) *fabric {
 	if slotOfInst == nil {
 		slotOfInst = func(inst topology.Instance) cluster.SlotRef { return p.slotOf(inst.String()) }
 	}
+	discard := p.discard
+	if discard == nil {
+		discard = (*tuple.Event).Release
+	}
 	batchSize := max(p.batchSize, 1)
 	f := &fabric{
 		clock:        p.clock,
@@ -194,6 +202,7 @@ func newFabric(p fabricParams) *fabric {
 		slotOf:       p.slotOf,
 		slotOfInst:   slotOfInst,
 		deliverBatch: p.deliverBatch,
+		discard:      discard,
 		batchSize:    batchSize,
 		shards:       make([]*fabShard, shards),
 		seed:         maphash.MakeSeed(),
@@ -250,8 +259,7 @@ func (f *fabric) Send(st *linkStage, ev *tuple.Event) {
 	}
 	if sh.closed {
 		sh.mu.Unlock()
-		f.dropped.Add(1)
-		ev.Release() // dropped before hand-off: this was the last owner
+		f.drop(ev) // dropped before hand-off
 		return
 	}
 	if st.vec == nil {
@@ -410,13 +418,18 @@ func (f *fabric) runShard(sh *fabShard) {
 }
 
 // handOff delivers a due batch to its destination in one call (one
-// queue append, one wakeup). Rejected events are counted dropped and
-// released — the fabric was their last owner.
+// queue append, one wakeup). Rejected events are lost at delivery.
 func (f *fabric) handOff(to topology.Instance, evs []*tuple.Event) {
 	for _, ev := range f.deliverBatch(to, evs) {
-		f.dropped.Add(1)
-		ev.Release() // lost at delivery: nobody downstream owns it
+		f.drop(ev)
 	}
+}
+
+// drop counts an event lost in the fabric and discards it: the fabric
+// was its last owner.
+func (f *fabric) drop(ev *tuple.Event) {
+	f.dropped.Add(1)
+	f.discard(ev)
 }
 
 // Dropped reports events lost at delivery so far.

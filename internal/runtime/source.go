@@ -69,7 +69,8 @@ type emitItem struct {
 	// generation deadline, or the acker's timeout verdict for a replay.
 	ready time.Time
 	// The replayed tree's original root: emission instant, migration
-	// epoch and generation (unused for fresh payloads).
+	// epoch and generation. A fresh payload gets its epoch and generation
+	// when the emit loop pops it.
 	rootEmit     time.Time
 	preMigration bool
 	gen          uint64
@@ -132,6 +133,12 @@ func (s *Source) generate() {
 // rate. Only a pause or a flow-control hold moves the stamps on, as the
 // paper's spout would stall. Root emit instants (latency) and the audit
 // keep the wall instant.
+//
+// The pop is the root's one critical section with PauseSources: the root
+// is counted live and a fresh one takes its migration generation there.
+// A paused source therefore has no uncounted root in hand, and since a
+// migration pauses the sources before it bumps the generation, a root
+// stamped g is popped after the g-th unpause.
 func (s *Source) emitLoop() {
 	defer s.eng.wg.Done()
 	burstGap := time.Duration(float64(time.Second) / s.eng.cfg.SourceBurstRate)
@@ -159,7 +166,9 @@ func (s *Source) emitLoop() {
 			if s.backHead == len(s.backlog) {
 				s.backlog, s.backHead = s.backlog[:0], 0
 			}
+			it.preMigration, it.gen = !s.eng.migrationRequested(), s.eng.MigrationGen()
 		}
+		s.eng.enter(1)
 		backlogged := s.backlogLen() > 0 || len(s.replays) > 0
 		at := later(it.ready, later(s.free, s.resumed))
 		s.inHand, s.inHandAt = true, at
@@ -175,8 +184,9 @@ func (s *Source) emitLoop() {
 			if s.waitForPendingSlot() { // flow control applies to new roots only
 				at = s.afterHold(at)
 			}
-			s.emitRoot(it.payload, false, at, s.eng.clock.Now(), !s.eng.migrationRequested(), s.eng.MigrationGen())
+			s.emitRoot(it.payload, false, at, s.eng.clock.Now(), it.preMigration, it.gen)
 		}
+		s.eng.exit(1) // the root's children are counted and sent
 		if backlogged {
 			// Deadline-paced burst drain at SourceBurstRate.
 			now := s.eng.clock.Now()
